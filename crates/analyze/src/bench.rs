@@ -334,7 +334,9 @@ pub struct BudgetReport {
     pub rows: Vec<BudgetRow>,
     /// The latency threshold in effect (for the title line).
     pub threshold_pct: f64,
-    /// Current-file entries with no matching baseline entry.
+    /// Current-file entries with no matching baseline entry, and
+    /// `entry/metric` pairs whose baseline entry lacks the metric: the
+    /// relative rules that would gate them were skipped.
     pub unmatched: Vec<String>,
 }
 
@@ -388,7 +390,7 @@ impl BudgetReport {
         for entry in &self.unmatched {
             let _ = writeln!(
                 out,
-                "diff-bench: note — no baseline entry for {entry}, relative rules skipped"
+                "diff-bench: note — no baseline for {entry}, relative rules skipped"
             );
         }
         let breaches = self.breach_lines();
@@ -443,10 +445,7 @@ impl BudgetReport {
         if !self.unmatched.is_empty() {
             out.push('\n');
             for entry in &self.unmatched {
-                let _ = writeln!(
-                    out,
-                    "*No baseline entry for `{entry}`; relative rules skipped.*"
-                );
+                let _ = writeln!(out, "*No baseline for `{entry}`; relative rules skipped.*");
             }
         }
         out
@@ -512,6 +511,7 @@ pub fn evaluate(
                         continue;
                     };
                     let Some((_, base_v)) = base.metrics.iter().find(|(n, _)| n == metric) else {
+                        unmatched.push(format!("{}/{metric}", cur.label()));
                         continue;
                     };
                     let delta_pct = (*base_v != 0.0).then(|| 100.0 * (cur_v - base_v) / base_v);
@@ -690,6 +690,37 @@ mod tests {
         let report = evaluate(&[], &current, &default_rules(25.0), 25.0);
         assert_eq!(report.breach_lines().len(), 1);
         assert!(report.breach_lines()[0].contains("quarantined_cells"));
+    }
+
+    #[test]
+    fn metric_missing_from_baseline_entry_is_reported_not_dropped() {
+        let baseline = file(&[LINE]);
+        let current = file(&[&LINE.replace(
+            "\"sensed_flatness\"",
+            "\"sensed_ns_400\": 300.0, \"sensed_flatness\"",
+        )]);
+        let report = evaluate(&baseline, &current, &default_rules(25.0), 25.0);
+        assert!(report.rows.iter().all(|r| r.metric != "sensed_ns_400"));
+        assert_eq!(
+            report.unmatched,
+            vec!["dense_city_scaling:quick/sensed_ns_400".to_string()]
+        );
+        let note = "no baseline for dense_city_scaling:quick/sensed_ns_400, relative rules skipped";
+        assert!(
+            report.render_text().contains(note),
+            "{}",
+            report.render_text()
+        );
+        assert!(report
+            .render_markdown()
+            .contains("*No baseline for `dense_city_scaling:quick/sensed_ns_400`;"));
+        // Ungated metrics missing from the baseline stay silent.
+        let current = file(&[&LINE.replace(
+            "\"sensed_flatness\"",
+            "\"sensed_mean\": 1.0, \"sensed_flatness\"",
+        )]);
+        let report = evaluate(&baseline, &current, &default_rules(25.0), 25.0);
+        assert!(report.unmatched.is_empty(), "{:?}", report.unmatched);
     }
 
     #[test]

@@ -226,6 +226,41 @@ fn bench_medium_queries(c: &mut Criterion) {
             ))
         })
     });
+
+    // End cost under a dense medium: 2,048 live transmissions from 64
+    // devices, each with a warmed fading draw at the device 8 slots on.
+    // An iteration ends the oldest transmission and begins (and warms)
+    // its replacement, so the population stays steady.
+    let mut dense = Medium::new(ChannelConfig::default(), 98);
+    for d in 0..64u32 {
+        dense.add_device(
+            DeviceId::new(d),
+            bicord_phy::geometry::Point::new(f64::from(d % 8) * 2.0, f64::from(d / 8) * 2.0),
+        );
+    }
+    let mut next = 0u32;
+    let mut begin = |m: &mut Medium| {
+        let source = next % 64;
+        next += 1;
+        let id = m.begin_transmission(
+            DeviceId::new(source),
+            Dbm::new(10.0),
+            wifi_band,
+            SimTime::ZERO,
+            SimTime::from_millis(2),
+            Payload::Noise,
+        );
+        black_box(m.received_power(id, DeviceId::new((source + 8) % 64)));
+        id
+    };
+    let mut live: std::collections::VecDeque<_> = (0..2_048).map(|_| begin(&mut dense)).collect();
+    c.bench_function("medium_end_transmission_dense", |b| {
+        b.iter(|| {
+            let oldest = live.pop_front().expect("steady population");
+            black_box(dense.end_transmission(black_box(oldest)));
+            live.push_back(begin(&mut dense));
+        })
+    });
 }
 
 /// The observability layer's zero-cost claim: pushing CSI samples through

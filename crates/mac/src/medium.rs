@@ -242,9 +242,16 @@ pub struct Medium {
     next_tx: u64,
     /// Static shadowing per unordered device pair, dB. The source of
     /// truth for realisations; `link_cache` only mirrors it.
-    shadowing: HashMap<(DeviceId, DeviceId), f64>,
-    /// Per-(transmission, observer) fading, dB.
-    fading: FastMap<(TxId, DeviceId), f64>,
+    shadowing: FastMap<(DeviceId, DeviceId), f64>,
+    /// Per-transmission fading draws, parallel to `active`: the
+    /// `(observer, dB)` realisations drawn so far for that transmission,
+    /// in first-query order. Moves with its slot on `swap_remove`, so
+    /// ending a transmission drops its draws in O(1).
+    fading: Vec<Vec<(DeviceId, f64)>>,
+    /// Cleared fading lists of ended transmissions, reused by later
+    /// `begin_transmission` calls so the steady state never allocates.
+    /// Holds at most the peak number of concurrent transmissions.
+    fading_free: Vec<Vec<(DeviceId, f64)>>,
     /// Memoized `(path-loss dB, shadowing dB)` per directed
     /// `(source, observer)` pair at the devices' *current* positions.
     /// Invalidated whenever either endpoint moves.
@@ -296,13 +303,12 @@ pub struct MediumGridStats {
 /// Hot per-transmission fields, parallel to `Medium::active`.
 ///
 /// Queries (`sensed_power`, `interference_against`) read *only* this
-/// array plus `ids` per candidate — duplicating `id`/`power`/`band`
-/// here keeps the fat `Transmission` slab (with its payload) out of the
+/// array plus `ids` per candidate — duplicating `power`/`band` here
+/// keeps the fat `Transmission` slab (with its payload) out of the
 /// query working set, which is what keeps per-query cost flat at 10k+
 /// devices.
 #[derive(Debug, Clone, Copy)]
 struct TxHot {
-    id: TxId,
     start: SimTime,
     end: SimTime,
     source: DeviceId,
@@ -358,8 +364,9 @@ impl Medium {
             candidates: Vec::with_capacity(16),
             grid_stats: MediumGridStats::default(),
             next_tx: 0,
-            shadowing: HashMap::new(),
-            fading: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
+            shadowing: FastMap::default(),
+            fading: Vec::with_capacity(16),
+            fading_free: Vec::new(),
             link_cache: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
             band_overlap: Vec::with_capacity(BAND_MEMO_CAP),
             stats: MediumCacheStats::default(),
@@ -505,7 +512,6 @@ impl Medium {
             self.grid.entry(cell).or_default().push(id);
         }
         self.hot.push(TxHot {
-            id,
             start,
             end,
             source,
@@ -516,6 +522,7 @@ impl Medium {
             cell,
             loud,
         });
+        self.fading.push(self.fading_free.pop().unwrap_or_default());
         id
     }
 
@@ -537,6 +544,9 @@ impl Medium {
         self.slab.remove(&id);
         let tx = self.active.swap_remove(idx);
         let h = self.hot.swap_remove(idx);
+        let mut fading = self.fading.swap_remove(idx);
+        fading.clear();
+        self.fading_free.push(fading);
         // The former tail now lives at `idx`; repoint its index entry.
         if let Some(moved) = self.active.get(idx) {
             self.slab.insert(moved.id, idx as u32);
@@ -558,8 +568,6 @@ impl Medium {
                 .expect("grid member desync");
             members.swap_remove(at);
         }
-        // Drop the fading cache entries for this transmission.
-        self.fading.retain(|(t, _), _| *t != id);
         tx
     }
 
@@ -592,15 +600,18 @@ impl Medium {
             .or_insert_with(|| normal(rng, 0.0, sigma))
     }
 
-    /// The fading offset (dB) a given observer experiences for a given
-    /// transmission; drawn once and cached.
-    fn tx_fading(&mut self, tx: TxId, observer: DeviceId) -> f64 {
-        let sigma = self.config.fading_sigma_db;
-        let rng = &mut self.fading_rng;
-        *self
-            .fading
-            .entry((tx, observer))
-            .or_insert_with(|| normal(rng, 0.0, sigma))
+    /// The fading offset (dB) `observer` experiences for the
+    /// transmission at slab index `idx`; drawn on the first query of the
+    /// pair and cached. A transmission has few observers, so a linear
+    /// scan of its list beats hashing.
+    fn tx_fading(&mut self, idx: usize, observer: DeviceId) -> f64 {
+        let draws = &mut self.fading[idx];
+        if let Some(&(_, fading)) = draws.iter().find(|(o, _)| *o == observer) {
+            return fading;
+        }
+        let fading = normal(&mut self.fading_rng, 0.0, self.config.fading_sigma_db);
+        draws.push((observer, fading));
+        fading
     }
 
     /// The memoized `(path-loss dB, shadowing dB)` budget of the directed
@@ -730,7 +741,7 @@ impl Medium {
     fn budget_power(&mut self, idx: usize, observer: DeviceId) -> Dbm {
         let h = self.hot[idx];
         let (pl_db, shadow) = self.link_budget(h.source, observer);
-        let fading = self.tx_fading(h.id, observer);
+        let fading = self.tx_fading(idx, observer);
         (h.power - pl_db) + shadow + fading
     }
 
@@ -1002,7 +1013,6 @@ mod tests {
     use super::*;
     use crate::frames::{WifiFrameKind, WifiPriority, ZigbeeFrameKind};
     use bicord_phy::spectrum::{WifiChannel, ZigbeeChannel};
-    use bicord_sim::SimDuration;
 
     fn wifi_band() -> Band {
         WifiChannel::new(11).unwrap().band()
@@ -1025,6 +1035,11 @@ mod tests {
             mpdu_bytes: 100,
             priority: WifiPriority::Low,
         })
+    }
+
+    /// Live fading realisations across all active transmissions.
+    fn fading_entries(m: &Medium) -> usize {
+        m.fading.iter().map(Vec::len).sum()
     }
 
     #[test]
@@ -1606,14 +1621,14 @@ mod tests {
         );
         assert_eq!(m.received_power(id, far), Dbm::FLOOR);
         assert!(
-            m.fading.is_empty() && m.shadowing.is_empty(),
+            fading_entries(&m) == 0 && m.shadowing.is_empty(),
             "culled links must not consume the lazy RNG streams"
         );
         let stats = m.grid_stats();
         assert!(stats.tx_culled > 0, "far observer must cull at grid level");
         // The near observer hears the transmission normally.
         assert!(m.sensed_power(near, &wifi_band(), now, None).value() > 0.0);
-        assert!(!m.fading.is_empty());
+        assert_eq!(fading_entries(&m), 1);
     }
 
     #[test]
@@ -1768,20 +1783,38 @@ mod tests {
     fn fading_cache_cleared_on_end() {
         let mut m = setup();
         let band = wifi_band();
-        let mk = |m: &mut Medium, s| {
-            m.begin_transmission(
-                DeviceId::new(0),
+        let mut live: Vec<TxId> = Vec::new();
+        let mut peak = 0;
+        // Concurrency cycles between 1 and 5 live transmissions; each new
+        // one is queried from both non-source devices.
+        for i in 0..1_000u64 {
+            let source = (i % 3) as u32;
+            live.push(m.begin_transmission(
+                DeviceId::new(source),
                 Dbm::new(20.0),
                 band,
-                SimTime::from_millis(s),
-                SimTime::from_millis(s + 1),
+                SimTime::from_millis(i),
+                SimTime::from_millis(i + 1),
                 Payload::Noise,
-            )
-        };
-        let a = mk(&mut m, 0);
-        let _pa = m.received_power(a, DeviceId::new(1));
-        m.end_transmission(a);
-        assert!(m.fading.is_empty(), "fading cache leaks");
-        let _ = SimDuration::ZERO;
+            ));
+            peak = peak.max(live.len());
+            for observer in (0..3).filter(|&d| d != source) {
+                let _ = m.received_power(*live.last().unwrap(), DeviceId::new(observer));
+            }
+            while live.len() > (i % 5) as usize {
+                m.end_transmission(live.remove(0));
+            }
+        }
+        for id in live.drain(..) {
+            m.end_transmission(id);
+        }
+        assert_eq!(fading_entries(&m), 0, "fading cache leaks");
+        assert!(m.fading.is_empty());
+        assert!(
+            m.fading_free.len() <= peak,
+            "{} recycled lists for a peak of {peak} concurrent transmissions",
+            m.fading_free.len()
+        );
+        assert!(m.fading_free.iter().all(Vec::is_empty));
     }
 }

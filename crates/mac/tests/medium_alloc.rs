@@ -2,10 +2,11 @@
 //! state.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warm-up pass has populated the link-budget cache, the fading map, and
-//! the band-overlap memo, repeated `sensed_power` /
-//! `interference_against` / `overlapping_into` calls must perform zero
-//! heap allocations. The counter is thread-local (const-initialised, so
+//! warm-up pass has populated the link-budget cache, the fading lists,
+//! and the band-overlap memo, repeated `sensed_power` /
+//! `interference_against` / `overlapping_into` calls — and whole
+//! begin/query/end transmission cycles — must perform zero heap
+//! allocations. The counter is thread-local (const-initialised, so
 //! reading it never allocates): the libtest harness thread occasionally
 //! allocates while a test runs, and a process-global counter would pick
 //! that noise up as a spurious failure.
@@ -88,7 +89,7 @@ fn steady_state_queries_do_not_allocate() {
     }
     let now = SimTime::from_micros(500);
 
-    // Warm-up: populate the link cache, fading map, and band memo for
+    // Warm-up: populate the link cache, fading lists, and band memo for
     // every (transmission, observer, band) combination the loop below
     // touches, and grow the overlap scratch to its steady-state size.
     let mut scratch: Vec<Transmission> = Vec::new();
@@ -209,5 +210,36 @@ fn steady_state_queries_do_not_allocate() {
         0,
         "culled medium queries allocated {} times in steady state",
         culled_after - culled_before
+    );
+
+    // Third phase: the transmission lifecycle. Once warm, begin →
+    // `sensed_power` → end cycles reuse the slab, grid buckets and
+    // recycled per-transmission fading lists without allocating.
+    let churn = |medium: &mut Medium, k: u64| {
+        let id = medium.begin_transmission(
+            DeviceId::new(1 + (k % 12) as u32),
+            Dbm::new(0.0),
+            wifi,
+            SimTime::ZERO,
+            SimTime::from_millis(1),
+            Payload::Noise,
+        );
+        let sensed = medium.sensed_power(observer, &wifi, now, None);
+        medium.end_transmission(id);
+        sensed
+    };
+    for k in 0..24 {
+        churn(&mut medium, k);
+    }
+    let cycle_before = allocations();
+    for k in 0..1_000 {
+        assert!(churn(&mut medium, k).value() > 0.0);
+    }
+    let cycle_after = allocations();
+    assert_eq!(
+        cycle_after - cycle_before,
+        0,
+        "begin/query/end cycles allocated {} times in steady state",
+        cycle_after - cycle_before
     );
 }

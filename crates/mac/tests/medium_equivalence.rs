@@ -773,3 +773,67 @@ fn churn_rebucket_composes_with_grid_culling() {
         reference.fading_draw(2.0).to_bits()
     );
 }
+
+/// Fading draws are stored per slab slot, and ending a transmission
+/// `swap_remove`s the tail into the freed slot: the moved transmission's
+/// cached draws must move with it. A draw left behind (or re-drawn) shows
+/// up as a changed received power and a desynchronized fading stream.
+#[test]
+fn cached_fading_follows_a_swap_removed_transmission() {
+    let config = ChannelConfig::default();
+    let mut real = Medium::new(config, 23);
+    let mut reference = ReferenceMedium::new(config, 23);
+    for slot in 0..SLOTS {
+        let pos = Point::new(f64::from(slot) * 3.0, f64::from(slot) * -2.0);
+        real.add_device(DeviceId::new(slot), pos);
+        reference.add_device(DeviceId::new(slot), pos);
+    }
+    let observer = device(0);
+    let (s, e) = (SimTime::ZERO, SimTime::from_millis(1));
+    let mut live_real = Vec::new();
+    let mut live_ref = Vec::new();
+    for slot in 1..=3 {
+        live_real.push(real.begin_transmission(
+            device(slot),
+            Dbm::new(10.0),
+            band(0),
+            s,
+            e,
+            Payload::Noise,
+        ));
+        live_ref.push(reference.begin_transmission(device(slot), Dbm::new(10.0), band(0), s, e));
+    }
+    let first: Vec<u64> = live_real
+        .iter()
+        .zip(&live_ref)
+        .map(|(&id, &rid)| {
+            let got = real.received_power(id, observer);
+            let want = reference.received_power(rid, observer);
+            assert_eq!(got.value().to_bits(), want.value().to_bits());
+            got.value().to_bits()
+        })
+        .collect();
+
+    // Ending A moves C (the slab tail) into A's slot.
+    real.end_transmission(live_real[0]);
+    reference.end_transmission(live_ref[0]);
+
+    let again = real.received_power(live_real[2], observer);
+    assert_eq!(
+        again.value().to_bits(),
+        first[2],
+        "C's cached fading must follow it into A's slot"
+    );
+    assert_eq!(
+        again.value().to_bits(),
+        reference
+            .received_power(live_ref[2], observer)
+            .value()
+            .to_bits()
+    );
+    assert_eq!(
+        real.fading_draw(3.0).to_bits(),
+        reference.fading_draw(3.0).to_bits(),
+        "re-querying C must not draw a fresh fading realisation"
+    );
+}
