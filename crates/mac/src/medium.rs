@@ -61,15 +61,21 @@ use crate::frames::{DeviceId, Payload};
 /// small dense integers (ids), never adversarial.
 type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<SeqHasher>>;
 
-/// A `(tx band, listening band)` pair keyed by the exact bit patterns of
-/// the four band edges — bit-identical inputs are the only ones allowed
-/// to share a memoized overlap fraction.
-type BandPairKey = [u64; 4];
-
 /// Distinct `(tx band, listening band)` pairs per scenario are a small
 /// constant (Wi-Fi/ZigBee/Bluetooth cross products); cap the memo so a
 /// pathological caller cannot grow it without bound.
 const BAND_MEMO_CAP: usize = 32;
+
+/// Small dense id of an interned [`Band`] (see [`BandTable`]).
+type BandId = u8;
+
+/// Most bands one medium interns — every Wi-Fi and ZigBee channel fits
+/// twice over. Bands past the cap get [`UNINTERNED`].
+const BAND_ID_CAP: usize = 64;
+
+/// Id of a band that arrived after [`BAND_ID_CAP`] others: its overlap
+/// fractions are computed on every use and counted as memo misses.
+const UNINTERNED: BandId = BandId::MAX;
 
 /// Identifies one transmission placed on the medium.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -216,28 +222,29 @@ pub struct Medium {
     positions: Vec<Point>,
     /// Active transmissions, in slab order (**not** id order: removal is
     /// `swap_remove`). Queries never iterate this directly — they sort
-    /// gathered candidate ids, so evaluation order stays deterministic
-    /// regardless of slab layout.
+    /// their audible candidates by id, so evaluation order stays
+    /// deterministic regardless of slab layout.
     active: Vec<Transmission>,
-    /// Transmission id → slab index. O(1) candidate→slab resolution with
-    /// a bounded working set per lookup, where a binary search over a
-    /// sorted id array costs `log n` scattered probes per candidate at
-    /// 10k-device scale.
+    /// Transmission id → slab index, for the public by-id entry points
+    /// (queries get the index from the grid entry instead).
     slab: FastMap<TxId, u32>,
     /// Hot per-transmission fields, parallel to `active`: the cull loop
     /// reads these (time window, source slot, hearing radius, grid cell)
     /// without pulling the full `Transmission` into cache.
     hot: Vec<TxHot>,
     /// Uniform grid over device positions: cell key → member
-    /// transmissions (those whose hearing radius fits one cell).
-    grid: FastMap<u64, Vec<TxId>>,
-    /// Transmissions louder than one grid cell — always visited.
-    loud: Vec<TxId>,
+    /// transmissions (those whose hearing radius fits one cell), each
+    /// with its current slab index.
+    grid: FastMap<u64, Vec<(TxId, u32)>>,
+    /// Transmissions louder than one grid cell — always visited. Same
+    /// `(id, slab index)` entries as `grid`.
+    loud: Vec<(TxId, u32)>,
     /// Grid cell edge length, metres (infinite when the configured radii
     /// are unbounded, which degenerates to a single cell = no culling).
     cell_size_m: f64,
-    /// Reusable query scratch for gathered candidate ids.
-    candidates: Vec<TxId>,
+    /// Reusable query scratch: the audible candidates of the current
+    /// query as `(id, slab index, band overlap fraction)`.
+    audible: Vec<(TxId, u32, f64)>,
     grid_stats: MediumGridStats,
     next_tx: u64,
     /// Static shadowing per unordered device pair, dB. The source of
@@ -256,9 +263,8 @@ pub struct Medium {
     /// `(source, observer)` pair at the devices' *current* positions.
     /// Invalidated whenever either endpoint moves.
     link_cache: FastMap<(DeviceId, DeviceId), (f64, f64)>,
-    /// Memoized spectral overlap fractions per `(tx band, listening
-    /// band)` pair.
-    band_overlap: Vec<(BandPairKey, f64)>,
+    /// Interned bands and their memoized overlap fractions.
+    bands: BandTable,
     stats: MediumCacheStats,
     shadowing_rng: StdRng,
     fading_rng: StdRng,
@@ -290,7 +296,10 @@ pub struct MediumGridStats {
     pub queries: u64,
     /// Non-empty grid cells visited across those queries (≤ 9 each).
     pub cells_visited: u64,
-    /// Candidate transmissions gathered and evaluated.
+    /// Candidate transmissions gathered from the visited cells and the
+    /// loud list. Each is filtered (time window, source, band overlap,
+    /// hearing radius) before any is evaluated; only the audible rest
+    /// reach the link budget.
     pub tx_visited: u64,
     /// Active transmissions skipped without even a look because their
     /// cell was outside the observer's 3×3 window.
@@ -303,17 +312,18 @@ pub struct MediumGridStats {
 /// Hot per-transmission fields, parallel to `Medium::active`.
 ///
 /// Queries (`sensed_power`, `interference_against`) read *only* this
-/// array plus `ids` per candidate — duplicating `power`/`band` here
-/// keeps the fat `Transmission` slab (with its payload) out of the
-/// query working set, which is what keeps per-query cost flat at 10k+
-/// devices.
+/// array, at the slab index their grid entries carry — duplicating
+/// `power` and an interned band id here keeps the fat `Transmission`
+/// slab (with its payload) out of the query working set, which is what
+/// keeps per-query cost flat at 10k+ devices.
 #[derive(Debug, Clone, Copy)]
 struct TxHot {
     start: SimTime,
     end: SimTime,
     source: DeviceId,
     power: Dbm,
-    band: Band,
+    /// Interned id of the transmission's band.
+    band: BandId,
     /// Slot of `source` in the position SoA.
     source_slot: u32,
     /// Squared hearing radius, m²; links farther than this couple zero.
@@ -339,6 +349,90 @@ fn cell_key(cx: i32, cy: i32) -> u64 {
     (u64::from(cx as u32) << 32) | u64::from(cy as u32)
 }
 
+/// Whether the transmitter in slot `a` is within `radius_sq` of the
+/// observer in slot `b` — the exact per-link audibility cutoff.
+fn within_hearing(positions: &[Point], a: u32, b: u32, radius_sq: f64) -> bool {
+    let pa = positions[a as usize];
+    let pb = positions[b as usize];
+    let dx = pa.x - pb.x;
+    let dy = pa.y - pb.y;
+    dx * dx + dy * dy <= radius_sq
+}
+
+/// Interned bands and the memoized spectral overlap fraction of every
+/// `(tx band, listening band)` id pair.
+///
+/// A band is interned once — at `begin_transmission` for a transmitted
+/// band, once per query for a listening band — by the exact bit patterns
+/// of its edges, so only bit-identical bands share memoized fractions.
+/// A query then reads a fraction with one indexed load instead of
+/// matching band edges per candidate.
+#[derive(Default)]
+struct BandTable {
+    /// Interned bands; a band's id is its index.
+    bands: Vec<Band>,
+    /// `fractions[tx * BAND_ID_CAP + listening]`, `None` until memoized.
+    /// Grows by one row per interned band.
+    fractions: Vec<Option<f64>>,
+    /// Pairs memoized so far; never more than [`BAND_MEMO_CAP`].
+    memoized: usize,
+}
+
+impl BandTable {
+    /// The id of `band`, interning it on first sight.
+    fn intern(&mut self, band: &Band) -> BandId {
+        let (low, high) = (band.low_mhz.to_bits(), band.high_mhz.to_bits());
+        if let Some(id) = self
+            .bands
+            .iter()
+            .position(|b| b.low_mhz.to_bits() == low && b.high_mhz.to_bits() == high)
+        {
+            return id as BandId;
+        }
+        if self.bands.len() == BAND_ID_CAP {
+            return UNINTERNED;
+        }
+        self.bands.push(*band);
+        self.fractions.resize(self.bands.len() * BAND_ID_CAP, None);
+        (self.bands.len() - 1) as BandId
+    }
+
+    /// The share of band `tx` that falls inside band `listen`, counting
+    /// one memo hit or miss. The first [`BAND_MEMO_CAP`] distinct pairs
+    /// are memoized; later pairs are computed (and missed) on every use.
+    /// Queries check bands in grid-gather order, so when one query meets
+    /// more new pairs than the memo has room for, which of them get in
+    /// follows that order (the values returned never depend on it).
+    /// `tx_band` and `listening` are the raw bands, read only when an id
+    /// is [`UNINTERNED`].
+    fn fraction(
+        &mut self,
+        tx: BandId,
+        tx_band: impl FnOnce() -> Band,
+        listen: BandId,
+        listening: &Band,
+        stats: &mut MediumCacheStats,
+    ) -> f64 {
+        if tx == UNINTERNED || listen == UNINTERNED {
+            stats.band_misses += 1;
+            return tx_band().overlap_fraction(listening);
+        }
+        let (tx, listen) = (usize::from(tx), usize::from(listen));
+        let slot = &mut self.fractions[tx * BAND_ID_CAP + listen];
+        if let Some(fraction) = *slot {
+            stats.band_hits += 1;
+            return fraction;
+        }
+        stats.band_misses += 1;
+        let fraction = self.bands[tx].overlap_fraction(&self.bands[listen]);
+        if self.memoized < BAND_MEMO_CAP {
+            *slot = Some(fraction);
+            self.memoized += 1;
+        }
+        fraction
+    }
+}
+
 impl Medium {
     /// Creates an empty medium with the given channel configuration and
     /// master seed.
@@ -361,14 +455,14 @@ impl Medium {
             grid: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
             loud: Vec::new(),
             cell_size_m,
-            candidates: Vec::with_capacity(16),
+            audible: Vec::with_capacity(16),
             grid_stats: MediumGridStats::default(),
             next_tx: 0,
             shadowing: FastMap::default(),
             fading: Vec::with_capacity(16),
             fading_free: Vec::new(),
             link_cache: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
-            band_overlap: Vec::with_capacity(BAND_MEMO_CAP),
+            bands: BandTable::default(),
             stats: MediumCacheStats::default(),
             shadowing_rng: stream_rng(master_seed, SeedDomain::Shadowing, 0),
             fading_rng: stream_rng(master_seed, SeedDomain::Shadowing, 1),
@@ -435,13 +529,13 @@ impl Medium {
                 continue;
             }
             let id = self.active[idx].id;
-            let members = self.grid.get_mut(&h.cell).expect("grid cell desync");
+            let members = self.bucket_mut(&h);
             let at = members
                 .iter()
-                .position(|&t| t == id)
+                .position(|&(t, _)| t == id)
                 .expect("grid member desync");
-            members.swap_remove(at);
-            self.grid.entry(new_cell).or_default().push(id);
+            let entry = members.swap_remove(at);
+            self.grid.entry(new_cell).or_default().push(entry);
             self.hot[idx].cell = new_cell;
         }
     }
@@ -482,7 +576,8 @@ impl Medium {
             .unwrap_or_else(|| panic!("unknown source device {source}"));
         let id = TxId(self.next_tx);
         self.next_tx += 1;
-        self.slab.insert(id, self.active.len() as u32);
+        let idx = self.active.len() as u32;
+        self.slab.insert(id, idx);
         self.active.push(Transmission {
             id,
             source,
@@ -507,16 +602,16 @@ impl Medium {
         // non-negative, possibly infinite.)
         let loud = radius > self.cell_size_m;
         if loud {
-            self.loud.push(id);
+            self.loud.push((id, idx));
         } else {
-            self.grid.entry(cell).or_default().push(id);
+            self.grid.entry(cell).or_default().push((id, idx));
         }
         self.hot.push(TxHot {
             start,
             end,
             source,
             power,
-            band,
+            band: self.bands.intern(&band),
             source_slot: slot,
             radius_sq_m2: radius * radius,
             cell,
@@ -529,6 +624,16 @@ impl Medium {
     /// Position of `id` in the slab, if active.
     fn slab_index(&self, id: TxId) -> Option<usize> {
         self.slab.get(&id).map(|&i| i as usize)
+    }
+
+    /// The bucket a transmission is registered in: the loud list or its
+    /// grid cell.
+    fn bucket_mut(&mut self, h: &TxHot) -> &mut Vec<(TxId, u32)> {
+        if h.loud {
+            &mut self.loud
+        } else {
+            self.grid.get_mut(&h.cell).expect("grid cell desync")
+        }
     }
 
     /// Removes a finished transmission and returns it.
@@ -547,26 +652,25 @@ impl Medium {
         let mut fading = self.fading.swap_remove(idx);
         fading.clear();
         self.fading_free.push(fading);
-        // The former tail now lives at `idx`; repoint its index entry.
-        if let Some(moved) = self.active.get(idx) {
-            self.slab.insert(moved.id, idx as u32);
-        }
-        // Unbucket (order within a cell is irrelevant — queries sort the
-        // gathered candidates by id).
-        if h.loud {
-            let at = self
-                .loud
-                .iter()
-                .position(|&t| t == id)
-                .expect("loud list desync");
-            self.loud.swap_remove(at);
-        } else {
-            let members = self.grid.get_mut(&h.cell).expect("grid cell desync");
-            let at = members
-                .iter()
-                .position(|&t| t == id)
+        // Unbucket (order within a bucket is irrelevant — queries sort
+        // their audible candidates by id).
+        let members = self.bucket_mut(&h);
+        let at = members
+            .iter()
+            .position(|&(t, _)| t == id)
+            .expect("grid member desync");
+        members.swap_remove(at);
+        // The former tail now lives at `idx`; repoint its slab and bucket
+        // entries.
+        if let Some(moved) = self.active.get(idx).map(|t| t.id) {
+            self.slab.insert(moved, idx as u32);
+            let moved_hot = self.hot[idx];
+            let entry = self
+                .bucket_mut(&moved_hot)
+                .iter_mut()
+                .find(|(t, _)| *t == moved)
                 .expect("grid member desync");
-            members.swap_remove(at);
+            entry.1 = idx as u32;
         }
         tx
     }
@@ -637,27 +741,6 @@ impl Medium {
         (pl_db, shadow)
     }
 
-    /// The memoized spectral overlap fraction of `tx_band` into
-    /// `listening`, keyed by the exact bit patterns of the band edges.
-    fn band_overlap_fraction(&mut self, tx_band: &Band, listening: &Band) -> f64 {
-        let key: BandPairKey = [
-            tx_band.low_mhz.to_bits(),
-            tx_band.high_mhz.to_bits(),
-            listening.low_mhz.to_bits(),
-            listening.high_mhz.to_bits(),
-        ];
-        if let Some(&(_, fraction)) = self.band_overlap.iter().find(|(k, _)| *k == key) {
-            self.stats.band_hits += 1;
-            return fraction;
-        }
-        self.stats.band_misses += 1;
-        let fraction = tx_band.overlap_fraction(listening);
-        if self.band_overlap.len() < BAND_MEMO_CAP {
-            self.band_overlap.push((key, fraction));
-        }
-        fraction
-    }
-
     /// Cumulative cache hit/miss counters since construction.
     pub fn cache_stats(&self) -> MediumCacheStats {
         self.stats
@@ -674,45 +757,91 @@ impl Medium {
         self.cell_size_m
     }
 
-    /// Whether the transmitter in slot `a` is within `radius_sq` of the
-    /// observer in slot `b` — the exact per-link audibility cutoff.
-    fn within_hearing(&self, a: u32, b: u32, radius_sq: f64) -> bool {
-        let pa = self.positions[a as usize];
-        let pb = self.positions[b as usize];
-        let dx = pa.x - pb.x;
-        let dy = pa.y - pb.y;
-        dx * dx + dy * dy <= radius_sq
-    }
-
-    /// Gathers the candidate transmissions for an observer in `obs_slot`
-    /// into the reusable scratch: the 3×3 cell neighbourhood plus the
-    /// loud overflow list, sorted ascending by [`TxId`] so evaluation
-    /// (and therefore every lazy RNG draw) happens in exactly the order
-    /// a full-slab scan would use.
-    fn gather_candidates(&mut self, obs_slot: u32) {
-        let mut cands = std::mem::take(&mut self.candidates);
-        cands.clear();
-        let pos = self.positions[obs_slot as usize];
-        let cx = cell_coord(pos.x, self.cell_size_m);
-        let cy = cell_coord(pos.y, self.cell_size_m);
+    /// The summed in-band power of the candidates `observer` (in
+    /// `obs_slot`) can hear on `listening` — the shared core of
+    /// [`Medium::sensed_power`] and [`Medium::interference_against`].
+    ///
+    /// Gathers the 3×3 cell neighbourhood plus the loud overflow list and
+    /// filters the candidates *unsorted*, rejecting everything that
+    /// couples exactly zero without touching an RNG stream, in this
+    /// order: `keep` (time window, own or excluded source), zero band
+    /// overlap (one memo hit/miss per candidate reaching it), then the
+    /// hearing radius (counted in `tx_out_of_range`). Only the audible
+    /// survivors are sorted by [`TxId`] and evaluated, so lazy
+    /// shadowing/fading draws and the f64 summation happen in the same
+    /// ascending-id order a full-slab scan uses — the dropped candidates
+    /// are exactly that scan's zero terms.
+    fn audible_power(
+        &mut self,
+        observer: DeviceId,
+        obs_slot: u32,
+        listening: &Band,
+        keep: impl Fn(TxId, &TxHot) -> bool,
+    ) -> MilliWatt {
+        let Medium {
+            active,
+            hot,
+            grid,
+            loud,
+            positions,
+            bands,
+            stats,
+            grid_stats,
+            audible,
+            cell_size_m,
+            ..
+        } = self;
+        audible.clear();
+        let listen = bands.intern(listening);
+        let mut consider = |&(id, idx): &(TxId, u32)| {
+            let h = &hot[idx as usize];
+            if !keep(id, h) {
+                return;
+            }
+            let tx_band = || active[idx as usize].band;
+            let overlap = bands.fraction(h.band, tx_band, listen, listening, stats);
+            if overlap <= 0.0 {
+                return;
+            }
+            if !within_hearing(positions, h.source_slot, obs_slot, h.radius_sq_m2) {
+                grid_stats.tx_out_of_range += 1;
+                return;
+            }
+            audible.push((id, idx, overlap));
+        };
+        let pos = positions[obs_slot as usize];
+        let cx = cell_coord(pos.x, *cell_size_m);
+        let cy = cell_coord(pos.y, *cell_size_m);
         let mut cells = 0u64;
+        let mut gathered = loud.len();
         for dy in -1i32..=1 {
             for dx in -1i32..=1 {
-                if let Some(members) = self.grid.get(&cell_key(cx + dx, cy + dy)) {
+                if let Some(members) = grid.get(&cell_key(cx + dx, cy + dy)) {
                     if !members.is_empty() {
                         cells += 1;
-                        cands.extend_from_slice(members);
+                        gathered += members.len();
+                        members.iter().for_each(&mut consider);
                     }
                 }
             }
         }
-        cands.extend_from_slice(&self.loud);
-        cands.sort_unstable();
-        self.grid_stats.queries += 1;
-        self.grid_stats.cells_visited += cells;
-        self.grid_stats.tx_visited += cands.len() as u64;
-        self.grid_stats.tx_culled += (self.active.len() - cands.len()) as u64;
-        self.candidates = cands;
+        loud.iter().for_each(&mut consider);
+        grid_stats.queries += 1;
+        grid_stats.cells_visited += cells;
+        grid_stats.tx_visited += gathered as u64;
+        grid_stats.tx_culled += (active.len() - gathered) as u64;
+
+        audible.sort_unstable_by_key(|&(id, _, _)| id);
+        let audible = std::mem::take(&mut self.audible);
+        let mut total = MilliWatt::ZERO;
+        for &(_, idx, overlap) in &audible {
+            total += self
+                .budget_power(idx as usize, observer)
+                .to_milliwatt()
+                .scale(overlap);
+        }
+        self.audible = audible;
+        total
     }
 
     /// [`Medium::received_power`] for a transmission at slab index `idx`
@@ -729,7 +858,7 @@ impl Medium {
         if h.source == observer {
             return Dbm::FLOOR;
         }
-        if !self.within_hearing(h.source_slot, obs_slot, h.radius_sq_m2) {
+        if !within_hearing(&self.positions, h.source_slot, obs_slot, h.radius_sq_m2) {
             self.grid_stats.tx_out_of_range += 1;
             return Dbm::FLOOR;
         }
@@ -783,32 +912,22 @@ impl Medium {
             .slab_index(tx)
             .unwrap_or_else(|| panic!("transmission {tx:?} not active"));
         let obs_slot = self.slot_of(observer);
-        self.in_band_power_at(idx, observer, obs_slot, listening)
-    }
-
-    /// [`Medium::received_power_in_band`] for a transmission at slab
-    /// index `idx`. Zero band overlap (checked first, as always) and
-    /// out-of-range links both couple exactly [`MilliWatt::ZERO`]
-    /// without consuming RNG — skipping such a term leaves a linear
-    /// power sum bit-identical, which is what lets the grid drop
-    /// out-of-window transmissions entirely. A device's own
-    /// transmission keeps the historical floor conversion.
-    fn in_band_power_at(
-        &mut self,
-        idx: usize,
-        observer: DeviceId,
-        obs_slot: u32,
-        listening: &Band,
-    ) -> MilliWatt {
+        // Zero band overlap is checked first, as in the query loop. A
+        // device's own transmission couples the floor power, scaled by
+        // the overlap.
         let h = self.hot[idx];
-        let overlap = self.band_overlap_fraction(&h.band, listening);
+        let listen = self.bands.intern(listening);
+        let tx_band = || self.active[idx].band;
+        let overlap = self
+            .bands
+            .fraction(h.band, tx_band, listen, listening, &mut self.stats);
         if overlap <= 0.0 {
             return MilliWatt::ZERO;
         }
         if h.source == observer {
             return Dbm::FLOOR.to_milliwatt().scale(overlap);
         }
-        if !self.within_hearing(h.source_slot, obs_slot, h.radius_sq_m2) {
+        if !within_hearing(&self.positions, h.source_slot, obs_slot, h.radius_sq_m2) {
             self.grid_stats.tx_out_of_range += 1;
             return MilliWatt::ZERO;
         }
@@ -821,12 +940,12 @@ impl Medium {
     /// transmissions from `exclude_source` (a device never senses itself,
     /// and a receiver evaluating a frame excludes that frame's source).
     ///
-    /// Allocation-free in steady state: candidates from the observer's
-    /// 3×3 grid neighbourhood are gathered into a reusable scratch and
-    /// sorted by id, so lazy fading draws and the linear f64 summation
-    /// happen in the same ascending-`TxId` order a full-slab scan
-    /// produces (skipped out-of-range contributions are exactly the
-    /// zero terms of that sum).
+    /// Allocation-free in steady state. Candidates from the observer's
+    /// 3×3 grid neighbourhood are filtered down to the audible ones,
+    /// which are sorted by id, so lazy fading draws and the linear f64
+    /// summation happen in the same ascending-`TxId` order a full-slab
+    /// scan produces (every skipped contribution is exactly a zero term
+    /// of that sum).
     pub fn sensed_power(
         &mut self,
         observer: DeviceId,
@@ -835,23 +954,12 @@ impl Medium {
         exclude_source: Option<DeviceId>,
     ) -> MilliWatt {
         let obs_slot = self.slot_of(observer);
-        self.gather_candidates(obs_slot);
-        let cands = std::mem::take(&mut self.candidates);
-        let mut total = MilliWatt::ZERO;
-        for &id in &cands {
-            let idx = self.slab_index(id).expect("grid candidate not in slab");
-            let h = self.hot[idx];
-            if h.start > now
-                || h.end <= now
-                || h.source == observer
-                || Some(h.source) == exclude_source
-            {
-                continue;
-            }
-            total += self.in_band_power_at(idx, observer, obs_slot, listening);
-        }
-        self.candidates = cands;
-        total
+        self.audible_power(observer, obs_slot, listening, |_, h| {
+            h.start <= now
+                && h.end > now
+                && h.source != observer
+                && Some(h.source) != exclude_source
+        })
     }
 
     /// Interference power against transmission `signal` at `observer`:
@@ -859,7 +967,7 @@ impl Medium {
     /// airtime, evaluated over the whole frame (worst case: any overlap
     /// counts for its full coupled power).
     ///
-    /// Allocation-free; same gathered id-ordered evaluation as
+    /// Allocation-free; same filtered, id-ordered evaluation as
     /// [`Medium::sensed_power`].
     pub fn interference_against(
         &mut self,
@@ -872,19 +980,9 @@ impl Medium {
             .unwrap_or_else(|| panic!("transmission {signal:?} not active"));
         let (s_start, s_end) = (self.hot[sidx].start, self.hot[sidx].end);
         let obs_slot = self.slot_of(observer);
-        self.gather_candidates(obs_slot);
-        let cands = std::mem::take(&mut self.candidates);
-        let mut total = MilliWatt::ZERO;
-        for &id in &cands {
-            let idx = self.slab_index(id).expect("grid candidate not in slab");
-            let h = self.hot[idx];
-            if id == signal || h.source == observer || !(h.start < s_end && h.end > s_start) {
-                continue;
-            }
-            total += self.in_band_power_at(idx, observer, obs_slot, listening);
-        }
-        self.candidates = cands;
-        total
+        self.audible_power(observer, obs_slot, listening, |id, h| {
+            id != signal && h.source != observer && h.start < s_end && h.end > s_start
+        })
     }
 
     /// The SINR (dB) of transmission `signal` at `observer` listening on
@@ -932,50 +1030,29 @@ impl Medium {
     ) {
         out.clear();
         let obs_slot = self.slot_of(observer);
+        let mut consider = |&(_, idx): &(TxId, u32)| {
+            let t = &self.active[idx as usize];
+            let h = &self.hot[idx as usize];
+            if t.source != observer
+                && t.overlaps(from, to)
+                && listening.overlap_fraction(&t.band) > 0.0
+                && within_hearing(&self.positions, h.source_slot, obs_slot, h.radius_sq_m2)
+            {
+                out.push(*t);
+            }
+        };
         let pos = self.positions[obs_slot as usize];
         let cx = cell_coord(pos.x, self.cell_size_m);
         let cy = cell_coord(pos.y, self.cell_size_m);
         for dy in -1i32..=1 {
             for dx in -1i32..=1 {
                 if let Some(members) = self.grid.get(&cell_key(cx + dx, cy + dy)) {
-                    for &id in members {
-                        self.push_if_overlapping(id, observer, obs_slot, listening, from, to, out);
-                    }
+                    members.iter().for_each(&mut consider);
                 }
             }
         }
-        for &id in &self.loud {
-            self.push_if_overlapping(id, observer, obs_slot, listening, from, to, out);
-        }
+        self.loud.iter().for_each(&mut consider);
         out.sort_by_key(|t| (t.start, t.id));
-    }
-
-    /// Appends transmission `id` to `out` if it passes the overlap
-    /// filters of [`Medium::overlapping_into`].
-    #[allow(clippy::too_many_arguments)]
-    fn push_if_overlapping(
-        &self,
-        id: TxId,
-        observer: DeviceId,
-        obs_slot: u32,
-        listening: &Band,
-        from: SimTime,
-        to: SimTime,
-        out: &mut Vec<Transmission>,
-    ) {
-        let idx = self.slab_index(id).expect("grid candidate not in slab");
-        let t = self.active[idx];
-        if t.source == observer
-            || !t.overlaps(from, to)
-            || listening.overlap_fraction(&t.band) <= 0.0
-        {
-            return;
-        }
-        let h = self.hot[idx];
-        if !self.within_hearing(h.source_slot, obs_slot, h.radius_sq_m2) {
-            return;
-        }
-        out.push(t);
     }
 
     /// Draws a fresh random value from the medium's fading stream —

@@ -3,7 +3,7 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up pass has populated the link-budget cache, the fading lists,
-//! and the band-overlap memo, repeated `sensed_power` /
+//! and the band table, repeated `sensed_power` /
 //! `interference_against` / `overlapping_into` calls — and whole
 //! begin/query/end transmission cycles — must perform zero heap
 //! allocations. The counter is thread-local (const-initialised, so
@@ -132,8 +132,12 @@ fn steady_state_queries_do_not_allocate() {
     );
 
     // Second phase: same proof with *active* spatial culling — the
-    // gather-sort-evaluate grid path (candidate scratch, 3×3 cell walk,
-    // loud overflow list) must be as allocation-free as the linear scan.
+    // gather-filter-sort grid path (3×3 cell walk, loud overflow list,
+    // band table, audible-survivor scratch) must be as allocation-free as
+    // the linear scan. A third listening band, disjoint from both
+    // transmitted bands, sends every candidate down the zero-overlap
+    // path.
+    let disjoint = Band::centered(2405.0, 2.0);
     let mut medium = Medium::new(
         ChannelConfig {
             culling: CullingConfig {
@@ -173,7 +177,7 @@ fn steady_state_queries_do_not_allocate() {
             Payload::Noise,
         ));
     }
-    for band in [&wifi, &zigbee] {
+    for band in [&wifi, &zigbee, &disjoint] {
         medium.sensed_power(observer, band, now, None);
         medium.interference_against(ids[0], observer, band);
         medium.overlapping_into(
@@ -187,9 +191,10 @@ fn steady_state_queries_do_not_allocate() {
 
     let culled_before = allocations();
     for _ in 0..100 {
-        for band in [&wifi, &zigbee] {
+        for band in [&wifi, &zigbee, &disjoint] {
+            let audible = *band != disjoint;
             let sensed = medium.sensed_power(observer, band, now, None);
-            assert!(sensed.value() > 0.0);
+            assert_eq!(sensed.value() > 0.0, audible);
             medium.interference_against(ids[0], observer, band);
             medium.overlapping_into(
                 observer,
@@ -198,7 +203,7 @@ fn steady_state_queries_do_not_allocate() {
                 SimTime::from_millis(1),
                 &mut scratch,
             );
-            assert!(!scratch.is_empty());
+            assert_eq!(!scratch.is_empty(), audible);
         }
     }
     let culled_after = allocations();

@@ -837,3 +837,88 @@ fn cached_fading_follows_a_swap_removed_transmission() {
         "re-querying C must not draw a fresh fading realisation"
     );
 }
+
+/// Queries filter their candidates in grid-gather order and evaluate
+/// only the audible ones, sorted by id. Here gather order disagrees with
+/// id order: tx1 sits in the cell above the observers (visited last),
+/// tx4 in the cell below (visited first), and ending tx0 has
+/// `swap_remove`d tx4 into slot 0. The candidates mix audible,
+/// zero-overlap (tx3) and out-of-range (tx2) transmissions. Both queries
+/// draw fresh fading realisations for two audible transmissions, so
+/// evaluating in gather order would swap the draws.
+#[test]
+fn filtered_candidates_evaluate_in_id_order() {
+    let config = aggressive_config();
+    let mut real = Medium::new(config, 31);
+    let mut reference = ReferenceMedium::new(config, 31);
+    // Cells are ~25.1 m: devices 0, 4 and 5 share cell (0, 0).
+    let positions = [
+        (12.0, 12.0),  // 0: observer
+        (12.0, 30.0),  // 1: cell (0, 1), 18 m away: audible at 5 dBm
+        (12.0, -3.0),  // 2: cell (0, -1), 15 m away: audible at 5 dBm
+        (-10.0, 12.0), // 3: cell (-1, 0), 22+ m away: past the ~17 m radius at 0 dBm
+        (20.0, 12.0),  // 4: cell (0, 0), transmits on a disjoint band
+        (13.0, 12.0),  // 5: second observer
+    ];
+    for (i, &(x, y)) in positions.iter().enumerate() {
+        real.add_device(DeviceId::new(i as u32), Point::new(x, y));
+        reference.add_device(DeviceId::new(i as u32), Point::new(x, y));
+    }
+    let (s, e) = (SimTime::ZERO, SimTime::from_millis(1));
+    // (device, power dBm, band): tx0 ..= tx4.
+    let plan = [
+        (4, 0.0, 2),
+        (1, 5.0, 0),
+        (3, 0.0, 0),
+        (4, 0.0, 2),
+        (2, 5.0, 1),
+    ];
+    let mut live_real = Vec::new();
+    let mut live_ref = Vec::new();
+    for &(dev, power, b) in &plan {
+        let source = DeviceId::new(dev);
+        live_real.push(real.begin_transmission(
+            source,
+            Dbm::new(power),
+            band(b),
+            s,
+            e,
+            Payload::Noise,
+        ));
+        live_ref.push(reference.begin_transmission(source, Dbm::new(power), band(b), s, e));
+    }
+    // Ending tx0 moves the slab tail, tx4, into slot 0.
+    real.end_transmission(live_real[0]);
+    reference.end_transmission(live_ref[0]);
+
+    let now = SimTime::from_micros(500);
+    let listening = band(0);
+    let observer = DeviceId::new(0);
+    // Gather order tx4, tx2, tx3, tx1; audible tx1 and tx4.
+    assert_mw_eq(
+        real.sensed_power(observer, &listening, now, None),
+        reference.sensed_power(observer, &listening, now, None),
+        "sensed_power",
+    );
+    // Against tx3: same gather order, tx3 itself excluded as the signal.
+    let observer = DeviceId::new(5);
+    assert_mw_eq(
+        real.interference_against(live_real[3], observer, &listening),
+        reference.interference_against(live_ref[3], observer, &listening),
+        "interference_against",
+    );
+    assert_eq!(
+        real.fading_draw(3.0).to_bits(),
+        reference.fading_draw(3.0).to_bits(),
+        "fading draws happened out of id order"
+    );
+
+    // The sensed query checks four bands (three new pairs, then tx1's
+    // repeat) and rejects tx2 by radius; the interference query hits
+    // the memo three times and rejects tx2 again. Both gathered all four.
+    let cache = real.cache_stats();
+    assert_eq!((cache.band_hits, cache.band_misses), (4, 3), "{cache:?}");
+    let grid = real.grid_stats();
+    assert_eq!(grid.tx_out_of_range, 2, "{grid:?}");
+    assert_eq!(grid.tx_visited, 8, "{grid:?}");
+}

@@ -262,9 +262,9 @@ impl DenseCityConfig {
                     }
                     let d = &devices[idx as usize];
                     results.attempts += 1;
-                    let sensed = medium.sensed_power(d.id, &d.band, now, None);
-                    sensed_sum_dbm += sensed.to_dbm().value();
-                    if sensed.to_dbm() >= d.busy {
+                    let sensed = medium.sensed_power(d.id, &d.band, now, None).to_dbm();
+                    sensed_sum_dbm += sensed.value();
+                    if sensed >= d.busy {
                         // Busy: defer and re-attempt after a short
                         // exponential backoff.
                         results.deferrals += 1;
@@ -399,6 +399,24 @@ mod tests {
         // hearing radius rejects most gathered candidates by distance.
         assert!(a.grid.tx_culled > 0, "{:?}", a.grid);
         assert!(a.grid.tx_out_of_range > 0, "{:?}", a.grid);
+    }
+
+    /// The whole `Debug` fingerprint of a 100-device run, counters
+    /// included, pinned exactly: a medium change that moves an RNG
+    /// draw, reorders the f64 summation, or shifts a grid or cache
+    /// counter fails here.
+    #[test]
+    fn residential_fingerprint_is_pinned() {
+        let r = DenseCityConfig::residential(5, 5, 3, 21).run();
+        assert_eq!(
+            format!("{r:?}"),
+            "DenseCityResults { devices: 100, attempts: 558, deferrals: 100, \
+             transmissions: 458, mean_sensed_dbm: -134.111294589749, \
+             grid: MediumGridStats { queries: 558, cells_visited: 2594, \
+             tx_visited: 6132, tx_culled: 5375, tx_out_of_range: 2126 }, \
+             cache: MediumCacheStats { link_hits: 255, link_misses: 185, \
+             band_hits: 6106, band_misses: 25 }, simulated: SimDuration(50000) }"
+        );
     }
 
     #[test]
