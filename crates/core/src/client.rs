@@ -179,7 +179,8 @@ struct Burst {
 /// use bicord_sim::SimTime;
 ///
 /// let mut client = BicordClient::new(ClientConfig::default());
-/// let actions = client.on_burst(SimTime::ZERO, 5, 50);
+/// let mut actions = Vec::new();
+/// client.on_burst(SimTime::ZERO, 5, 50, &mut actions);
 /// // The first packet goes straight to the MAC:
 /// assert!(matches!(
 ///     actions.as_slice(),
@@ -275,7 +276,13 @@ impl BicordClient {
     /// Starts a burst of `n_packets` data frames of `bytes` each.
     ///
     /// If a burst is still in progress, the new packets are appended to it.
-    pub fn on_burst(&mut self, now: SimTime, n_packets: u32, bytes: usize) -> Vec<ClientAction> {
+    pub fn on_burst(
+        &mut self,
+        now: SimTime,
+        n_packets: u32,
+        bytes: usize,
+        actions: &mut Vec<ClientAction>,
+    ) {
         let burst = self.burst.get_or_insert_with(|| Burst {
             pending: VecDeque::new(),
             delivered: 0,
@@ -285,7 +292,6 @@ impl BicordClient {
             burst.pending.push_back((self.next_seq, bytes));
             self.next_seq += 1;
         }
-        let mut actions = Vec::new();
         if self.state == State::Idle {
             if !self.channel_clear && self.wifi_confirmed(now) {
                 // The interference is known and the PowerMap entry is warm:
@@ -296,12 +302,11 @@ impl BicordClient {
                     .signal_power
                     .unwrap_or(self.config.default_signal_power);
                 actions.push(ClientAction::SetTxPower(power));
-                self.begin_signaling(now, &mut actions);
+                self.begin_signaling(now, actions);
             } else {
-                self.send_next(now, &mut actions);
+                self.send_next(now, actions);
             }
         }
-        actions
     }
 
     /// Routes a MAC notification into the client.
@@ -309,8 +314,8 @@ impl BicordClient {
         &mut self,
         now: SimTime,
         notification: ZigbeeNotification,
-    ) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
+        actions: &mut Vec<ClientAction>,
+    ) {
         match notification {
             ZigbeeNotification::Delivered { seq, attempts } => {
                 actions.push(ClientAction::PacketDelivered { seq, attempts });
@@ -320,7 +325,7 @@ impl BicordClient {
                     burst.pending.pop_front();
                 }
                 if self.burst_finished() {
-                    self.finish_burst(&mut actions);
+                    self.finish_burst(actions);
                 } else {
                     self.state = State::BetweenPackets;
                     actions.push(ClientAction::SetTimer {
@@ -332,7 +337,6 @@ impl BicordClient {
             ZigbeeNotification::Failed { seq: _, reason } => {
                 // Keep the packet (the MAC dropped it; ours is still at the
                 // front of `pending`) and diagnose the channel.
-                let _ = reason;
                 match reason {
                     FailReason::ChannelAccessFailure | FailReason::ExceededRetries => {
                         if self.csma_only_burst {
@@ -351,7 +355,7 @@ impl BicordClient {
                                 .signal_power
                                 .unwrap_or(self.config.default_signal_power);
                             actions.push(ClientAction::SetTxPower(power));
-                            self.begin_signaling(now, &mut actions);
+                            self.begin_signaling(now, actions);
                         } else {
                             self.state = State::Classifying;
                             actions.push(ClientAction::CaptureTrace);
@@ -368,14 +372,12 @@ impl BicordClient {
                 }
             }
         }
-        actions
     }
 
     /// Delivers the RSSI trace requested by [`ClientAction::CaptureTrace`].
-    pub fn on_trace(&mut self, now: SimTime, trace: &RssiTrace) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
+    pub fn on_trace(&mut self, now: SimTime, trace: &RssiTrace, actions: &mut Vec<ClientAction>) {
         if self.state != State::Classifying {
-            return actions;
+            return;
         }
         let features = extract_features(
             trace,
@@ -396,7 +398,7 @@ impl BicordClient {
                 };
                 self.signal_power = Some(power);
                 actions.push(ClientAction::SetTxPower(power));
-                self.begin_signaling(now, &mut actions);
+                self.begin_signaling(now, actions);
             }
             _ => {
                 // Not Wi-Fi (or idle): signaling is useless — back off and
@@ -409,7 +411,6 @@ impl BicordClient {
                 });
             }
         }
-        actions
     }
 
     /// Notifies the client that the channel turned busy again (the Wi-Fi
@@ -420,9 +421,8 @@ impl BicordClient {
     /// immediately — flailing through `macMaxCSMABackoffs` busy CCAs first
     /// would let the Wi-Fi side's burst-end gap expire and split the burst
     /// into separate learning episodes.
-    pub fn on_channel_busy(&mut self, now: SimTime) -> Vec<ClientAction> {
+    pub fn on_channel_busy(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
         self.channel_clear = false;
-        let mut actions = Vec::new();
         if self.state == State::BetweenPackets
             && !self.burst_finished()
             && !self.csma_only_burst
@@ -433,35 +433,31 @@ impl BicordClient {
                 .signal_power
                 .unwrap_or(self.config.default_signal_power);
             actions.push(ClientAction::SetTxPower(power));
-            self.begin_signaling(now, &mut actions);
+            self.begin_signaling(now, actions);
         }
-        actions
     }
 
     /// Notifies the client that the channel went quiet (a white space
     /// opened). Resumes a signaling client's data; otherwise just records
     /// the channel state.
-    pub fn on_channel_clear(&mut self, now: SimTime) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
+    pub fn on_channel_clear(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
         self.channel_clear = true;
         if self.state != State::Signaling {
-            return actions;
+            return;
         }
         actions.push(ClientAction::CancelTimer(ClientTimer::SignalGap));
         actions.push(ClientAction::SetTxPower(self.config.data_power));
         self.controls_this_request = 0;
         // An answered request clears the degradation pressure.
         self.consecutive_failures = 0;
-        self.send_next(now, &mut actions);
-        actions
+        self.send_next(now, actions);
     }
 
     /// Handles an expired timer.
-    pub fn on_timer(&mut self, now: SimTime, timer: ClientTimer) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
+    pub fn on_timer(&mut self, now: SimTime, timer: ClientTimer, actions: &mut Vec<ClientAction>) {
         match (timer, self.state) {
             (ClientTimer::NextPacket, State::BetweenPackets) => {
-                self.send_next(now, &mut actions);
+                self.send_next(now, actions);
             }
             (ClientTimer::SignalGap, State::Signaling) => {
                 if self
@@ -500,11 +496,10 @@ impl BicordClient {
                 }
             }
             (ClientTimer::Retry, State::WaitingRetry) => {
-                self.send_next(now, &mut actions);
+                self.send_next(now, actions);
             }
             _ => {}
         }
-        actions
     }
 
     fn begin_signaling(&mut self, _now: SimTime, actions: &mut Vec<ClientAction>) {
@@ -563,6 +558,13 @@ mod tests {
         BicordClient::new(ClientConfig::default())
     }
 
+    /// The actions one handler call appends to a fresh buffer.
+    fn collect(f: impl FnOnce(&mut Vec<ClientAction>)) -> Vec<ClientAction> {
+        let mut actions = Vec::new();
+        f(&mut actions);
+        actions
+    }
+
     fn delivered(seq: u32) -> ZigbeeNotification {
         ZigbeeNotification::Delivered { seq, attempts: 1 }
     }
@@ -596,13 +598,13 @@ mod tests {
     #[test]
     fn clean_burst_flows_packet_by_packet() {
         let mut c = client();
-        let actions = c.on_burst(SimTime::ZERO, 3, 50);
+        let actions = collect(|a| c.on_burst(SimTime::ZERO, 3, 50, a));
         assert_eq!(
             actions,
             vec![ClientAction::MacSendData { seq: 0, bytes: 50 }]
         );
         // Packet 0 delivered → inter-packet timer:
-        let actions = c.on_mac_notification(SimTime::from_millis(3), delivered(0));
+        let actions = collect(|a| c.on_mac_notification(SimTime::from_millis(3), delivered(0), a));
         assert!(actions.contains(&ClientAction::PacketDelivered {
             seq: 0,
             attempts: 1
@@ -613,19 +615,19 @@ mod tests {
                 if *at == SimTime::from_millis(7)
         )));
         // Timer fires → packet 1:
-        let actions = c.on_timer(SimTime::from_millis(7), ClientTimer::NextPacket);
+        let actions = collect(|a| c.on_timer(SimTime::from_millis(7), ClientTimer::NextPacket, a));
         assert_eq!(
             actions,
             vec![ClientAction::MacSendData { seq: 1, bytes: 50 }]
         );
-        let _ = c.on_mac_notification(SimTime::from_millis(10), delivered(1));
-        let actions = c.on_timer(SimTime::from_millis(14), ClientTimer::NextPacket);
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(10), delivered(1), a));
+        let actions = collect(|a| c.on_timer(SimTime::from_millis(14), ClientTimer::NextPacket, a));
         assert_eq!(
             actions,
             vec![ClientAction::MacSendData { seq: 2, bytes: 50 }]
         );
         // Last delivery completes the burst:
-        let actions = c.on_mac_notification(SimTime::from_millis(17), delivered(2));
+        let actions = collect(|a| c.on_mac_notification(SimTime::from_millis(17), delivered(2), a));
         assert!(actions.contains(&ClientAction::BurstComplete {
             delivered: 3,
             failed: 0
@@ -637,11 +639,12 @@ mod tests {
     #[test]
     fn failure_triggers_trace_capture_then_signaling() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 5, 50);
-        let actions = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 5, 50, a));
+        let actions =
+            collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
         assert_eq!(actions, vec![ClientAction::CaptureTrace]);
         // Wi-Fi verdict → set power + first control packet:
-        let actions = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let actions = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
         assert!(actions
             .iter()
             .any(|a| matches!(a, ClientAction::SetTxPower(_))));
@@ -652,12 +655,14 @@ mod tests {
     #[test]
     fn white_space_resumes_data_at_data_power() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 2, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 2, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
+        let _ = collect(|a| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, a)
+        });
         // Channel clears (CTS white space):
-        let actions = c.on_channel_clear(SimTime::from_millis(28));
+        let actions = collect(|a| c.on_channel_clear(SimTime::from_millis(28), a));
         assert!(actions.contains(&ClientAction::SetTxPower(Dbm::new(0.0))));
         assert!(actions.contains(&ClientAction::MacSendData { seq: 0, bytes: 50 }));
         assert!(actions.contains(&ClientAction::CancelTimer(ClientTimer::SignalGap)));
@@ -666,11 +671,13 @@ mod tests {
     #[test]
     fn signal_gap_without_white_space_sends_another_control() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 2, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let actions = c.on_timer(SimTime::from_millis(32), ClientTimer::SignalGap);
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 2, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
+        let _ = collect(|a| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, a)
+        });
+        let actions = collect(|a| c.on_timer(SimTime::from_millis(32), ClientTimer::SignalGap, a));
         assert!(actions.contains(&ClientAction::MacSendControl { bytes: 120 }));
     }
 
@@ -684,15 +691,19 @@ mod tests {
             ..ClientConfig::default()
         };
         let mut c = BicordClient::new(cfg);
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 1, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
         // Control 1 sent; gap; control 2; gap; then give up:
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let actions = c.on_timer(SimTime::from_millis(32), ClientTimer::SignalGap);
+        let _ = collect(|a| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, a)
+        });
+        let actions = collect(|a| c.on_timer(SimTime::from_millis(32), ClientTimer::SignalGap, a));
         assert!(actions.contains(&ClientAction::MacSendControl { bytes: 120 }));
-        let _ = c.on_mac_notification(SimTime::from_millis(37), ZigbeeNotification::ControlSent);
-        let actions = c.on_timer(SimTime::from_millis(43), ClientTimer::SignalGap);
+        let _ = collect(|a| {
+            c.on_mac_notification(SimTime::from_millis(37), ZigbeeNotification::ControlSent, a)
+        });
+        let actions = collect(|a| c.on_timer(SimTime::from_millis(43), ClientTimer::SignalGap, a));
         assert!(actions.iter().any(|a| matches!(
             a,
             ClientAction::SetTimer {
@@ -701,7 +712,7 @@ mod tests {
             }
         )));
         // Retry timer restarts plain data:
-        let actions = c.on_timer(SimTime::from_millis(93), ClientTimer::Retry);
+        let actions = collect(|a| c.on_timer(SimTime::from_millis(93), ClientTimer::Retry, a));
         assert!(actions.contains(&ClientAction::MacSendData { seq: 0, bytes: 50 }));
     }
 
@@ -710,10 +721,11 @@ mod tests {
     /// and the final timer's actions (the backoff decision) are returned.
     fn exhaust_round(c: &mut BicordClient, t0: SimTime) -> Vec<ClientAction> {
         let step = SimDuration::from_millis(6);
-        let _ = c.on_mac_notification(t0, ZigbeeNotification::ControlSent);
-        let _ = c.on_timer(t0 + step, ClientTimer::SignalGap);
-        let _ = c.on_mac_notification(t0 + step * 2, ZigbeeNotification::ControlSent);
-        c.on_timer(t0 + step * 3, ClientTimer::SignalGap)
+        let _ = collect(|a| c.on_mac_notification(t0, ZigbeeNotification::ControlSent, a));
+        let _ = collect(|a| c.on_timer(t0 + step, ClientTimer::SignalGap, a));
+        let _ =
+            collect(|a| c.on_mac_notification(t0 + step * 2, ZigbeeNotification::ControlSent, a));
+        collect(|a| c.on_timer(t0 + step * 3, ClientTimer::SignalGap, a))
     }
 
     fn small_budget_client(max_signaling_failures: u32) -> BicordClient {
@@ -730,9 +742,9 @@ mod tests {
     #[test]
     fn unanswered_round_emits_backoff_transition() {
         let mut c = small_budget_client(3);
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 1, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
         let actions = exhaust_round(&mut c, SimTime::from_millis(26));
         assert!(actions.contains(&ClientAction::SignalingBackoff { failures: 1 }));
         assert!(
@@ -747,13 +759,13 @@ mod tests {
     #[test]
     fn k_consecutive_failures_fall_back_to_csma() {
         let mut c = small_budget_client(2);
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 1, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
         // Round 1 unanswered → backoff; Retry → data fails again → round 2.
         let _ = exhaust_round(&mut c, SimTime::from_millis(26));
-        let _ = c.on_timer(SimTime::from_millis(100), ClientTimer::Retry);
-        let _ = c.on_mac_notification(SimTime::from_millis(120), failed_access(0));
+        let _ = collect(|a| c.on_timer(SimTime::from_millis(100), ClientTimer::Retry, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(120), failed_access(0), a));
         let actions = exhaust_round(&mut c, SimTime::from_millis(121));
         assert!(actions.contains(&ClientAction::SignalingBackoff { failures: 2 }));
         assert!(actions.contains(&ClientAction::FallbackToCsma { failures: 2 }));
@@ -764,8 +776,9 @@ mod tests {
         assert_eq!(c.csma_fallbacks(), 1);
         // From here the burst is CSMA-only: a further failure retries the
         // data after a backoff instead of signaling or re-classifying.
-        let _ = c.on_timer(SimTime::from_millis(200), ClientTimer::Retry);
-        let actions = c.on_mac_notification(SimTime::from_millis(220), failed_access(0));
+        let _ = collect(|a| c.on_timer(SimTime::from_millis(200), ClientTimer::Retry, a));
+        let actions =
+            collect(|a| c.on_mac_notification(SimTime::from_millis(220), failed_access(0), a));
         assert!(
             actions.iter().all(|a| matches!(
                 a,
@@ -782,20 +795,26 @@ mod tests {
     #[test]
     fn answered_request_resets_the_failure_count() {
         let mut c = small_budget_client(2);
-        let _ = c.on_burst(SimTime::ZERO, 2, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 2, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
         // Round 1 unanswered.
         let _ = exhaust_round(&mut c, SimTime::from_millis(26));
         // Retry → data fails → round 2, but this one is answered.
-        let _ = c.on_timer(SimTime::from_millis(100), ClientTimer::Retry);
-        let _ = c.on_mac_notification(SimTime::from_millis(120), failed_access(0));
-        let _ = c.on_mac_notification(SimTime::from_millis(125), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(127));
-        let _ = c.on_mac_notification(SimTime::from_millis(130), delivered(0));
+        let _ = collect(|a| c.on_timer(SimTime::from_millis(100), ClientTimer::Retry, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(120), failed_access(0), a));
+        let _ = collect(|a| {
+            c.on_mac_notification(
+                SimTime::from_millis(125),
+                ZigbeeNotification::ControlSent,
+                a,
+            )
+        });
+        let _ = collect(|a| c.on_channel_clear(SimTime::from_millis(127), a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(130), delivered(0), a));
         // White space over; the next packet fails and round 3 goes
         // unanswered: the count must restart at 1, not reach k = 2.
-        let _ = c.on_channel_busy(SimTime::from_millis(140));
+        let _ = collect(|a| c.on_channel_busy(SimTime::from_millis(140), a));
         let actions = exhaust_round(&mut c, SimTime::from_millis(141));
         assert!(actions.contains(&ClientAction::SignalingBackoff { failures: 1 }));
         assert!(!actions
@@ -807,24 +826,25 @@ mod tests {
     #[test]
     fn fallback_expires_with_the_burst() {
         let mut c = small_budget_client(1);
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 1, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
         // k = 1: the very first unanswered round falls back.
         let actions = exhaust_round(&mut c, SimTime::from_millis(26));
         assert!(actions
             .iter()
             .any(|a| matches!(a, ClientAction::FallbackToCsma { .. })));
         // The lone packet finally makes it through plain CSMA.
-        let _ = c.on_timer(SimTime::from_millis(100), ClientTimer::Retry);
-        let actions = c.on_mac_notification(SimTime::from_millis(120), delivered(0));
+        let _ = collect(|a| c.on_timer(SimTime::from_millis(100), ClientTimer::Retry, a));
+        let actions =
+            collect(|a| c.on_mac_notification(SimTime::from_millis(120), delivered(0), a));
         assert!(actions.contains(&ClientAction::BurstComplete {
             delivered: 1,
             failed: 0
         }));
         // The next burst signals again (the diagnosis is still fresh):
         // degradation is per-burst, not sticky.
-        let actions = c.on_burst(SimTime::from_millis(200), 1, 50);
+        let actions = collect(|a| c.on_burst(SimTime::from_millis(200), 1, 50, a));
         assert!(
             actions.contains(&ClientAction::MacSendControl { bytes: 120 }),
             "fallback must not outlive the burst, got {actions:?}"
@@ -834,9 +854,9 @@ mod tests {
     #[test]
     fn non_wifi_interference_skips_signaling() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let actions = c.on_trace(SimTime::from_millis(21), &bluetooth_trace());
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 1, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let actions = collect(|a| c.on_trace(SimTime::from_millis(21), &bluetooth_trace(), a));
         assert!(
             !actions
                 .iter()
@@ -855,15 +875,18 @@ mod tests {
     #[test]
     fn second_failure_in_burst_skips_classification() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 5, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(28));
-        let _ = c.on_mac_notification(SimTime::from_millis(31), delivered(0));
-        let _ = c.on_timer(SimTime::from_millis(35), ClientTimer::NextPacket);
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 5, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
+        let _ = collect(|a| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, a)
+        });
+        let _ = collect(|a| c.on_channel_clear(SimTime::from_millis(28), a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(31), delivered(0), a));
+        let _ = collect(|a| c.on_timer(SimTime::from_millis(35), ClientTimer::NextPacket, a));
         // White space ended; next packet fails:
-        let actions = c.on_mac_notification(SimTime::from_millis(60), failed_access(1));
+        let actions =
+            collect(|a| c.on_mac_notification(SimTime::from_millis(60), failed_access(1), a));
         assert!(
             actions.contains(&ClientAction::MacSendControl { bytes: 120 }),
             "Wi-Fi already confirmed — go straight to signaling, got {actions:?}"
@@ -900,9 +923,9 @@ mod tests {
         );
         let cluster = model_clone.assign(&f.fingerprint());
         c.power_map_mut().insert(cluster, Dbm::new(-3.0));
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let actions = c.on_trace(SimTime::from_millis(21), &trace);
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 1, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let actions = collect(|a| c.on_trace(SimTime::from_millis(21), &trace, a));
         assert!(
             actions.contains(&ClientAction::SetTxPower(Dbm::new(-3.0))),
             "negotiated power must be used, got {actions:?}"
@@ -912,17 +935,17 @@ mod tests {
     #[test]
     fn appending_burst_extends_pending() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 2, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(3), delivered(0));
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 2, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(3), delivered(0), a));
         // More data arrives mid-burst:
-        let actions = c.on_burst(SimTime::from_millis(4), 2, 50);
+        let actions = collect(|a| c.on_burst(SimTime::from_millis(4), 2, 50, a));
         assert!(actions.is_empty(), "mid-burst arrival queues silently");
-        let _ = c.on_timer(SimTime::from_millis(7), ClientTimer::NextPacket);
-        let _ = c.on_mac_notification(SimTime::from_millis(10), delivered(1));
-        let _ = c.on_timer(SimTime::from_millis(14), ClientTimer::NextPacket);
-        let _ = c.on_mac_notification(SimTime::from_millis(17), delivered(2));
-        let _ = c.on_timer(SimTime::from_millis(21), ClientTimer::NextPacket);
-        let actions = c.on_mac_notification(SimTime::from_millis(24), delivered(3));
+        let _ = collect(|a| c.on_timer(SimTime::from_millis(7), ClientTimer::NextPacket, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(10), delivered(1), a));
+        let _ = collect(|a| c.on_timer(SimTime::from_millis(14), ClientTimer::NextPacket, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(17), delivered(2), a));
+        let _ = collect(|a| c.on_timer(SimTime::from_millis(21), ClientTimer::NextPacket, a));
+        let actions = collect(|a| c.on_mac_notification(SimTime::from_millis(24), delivered(3), a));
         assert!(actions.contains(&ClientAction::BurstComplete {
             delivered: 4,
             failed: 0
@@ -933,18 +956,20 @@ mod tests {
     fn fresh_diagnosis_signals_immediately_on_next_burst() {
         let mut c = client();
         // Burst 1 establishes the Wi-Fi diagnosis the slow way.
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(28));
-        let _ = c.on_mac_notification(SimTime::from_millis(31), delivered(0));
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 1, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
+        let _ = collect(|a| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, a)
+        });
+        let _ = collect(|a| c.on_channel_clear(SimTime::from_millis(28), a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(31), delivered(0), a));
         assert!(c.is_idle());
         // Wi-Fi resumes (white space over) before the next burst arrives.
-        let _ = c.on_channel_busy(SimTime::from_millis(60));
+        let _ = collect(|a| c.on_channel_busy(SimTime::from_millis(60), a));
         // Burst 2 within the diagnosis TTL: no CSMA attempt, no trace —
         // straight to signaling at the remembered power.
-        let actions = c.on_burst(SimTime::from_millis(100), 1, 50);
+        let actions = collect(|a| c.on_burst(SimTime::from_millis(100), 1, 50, a));
         assert!(
             actions.contains(&ClientAction::MacSendControl { bytes: 120 }),
             "expected immediate signaling, got {actions:?}"
@@ -962,16 +987,18 @@ mod tests {
             ..ClientConfig::default()
         };
         let mut c = BicordClient::new(cfg);
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(28));
-        let _ = c.on_mac_notification(SimTime::from_millis(31), delivered(0));
-        let _ = c.on_channel_busy(SimTime::from_millis(60));
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 1, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
+        let _ = collect(|a| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, a)
+        });
+        let _ = collect(|a| c.on_channel_clear(SimTime::from_millis(28), a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(31), delivered(0), a));
+        let _ = collect(|a| c.on_channel_busy(SimTime::from_millis(60), a));
         // Next burst arrives a full second later — past the TTL: plain
         // data send first.
-        let actions = c.on_burst(SimTime::from_millis(1_100), 1, 50);
+        let actions = collect(|a| c.on_burst(SimTime::from_millis(1_100), 1, 50, a));
         assert_eq!(
             actions,
             vec![ClientAction::MacSendData { seq: 1, bytes: 50 }]
@@ -982,14 +1009,16 @@ mod tests {
     fn burst_arriving_inside_white_space_sends_directly() {
         let mut c = client();
         // Establish the diagnosis, then open a white space.
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(28));
-        let _ = c.on_mac_notification(SimTime::from_millis(31), delivered(0));
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 1, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
+        let _ = collect(|a| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, a)
+        });
+        let _ = collect(|a| c.on_channel_clear(SimTime::from_millis(28), a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(31), delivered(0), a));
         // Channel still clear: a new burst must NOT signal into silence.
-        let actions = c.on_burst(SimTime::from_millis(40), 1, 50);
+        let actions = collect(|a| c.on_burst(SimTime::from_millis(40), 1, 50, a));
         assert_eq!(
             actions,
             vec![ClientAction::MacSendData { seq: 1, bytes: 50 }],
@@ -1001,14 +1030,16 @@ mod tests {
     fn wifi_resume_preempts_waiting_client() {
         let mut c = client();
         // Mid-burst with the diagnosis fresh, waiting between packets.
-        let _ = c.on_burst(SimTime::ZERO, 3, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(28));
-        let _ = c.on_mac_notification(SimTime::from_millis(31), delivered(0));
+        let _ = collect(|a| c.on_burst(SimTime::ZERO, 3, 50, a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), a));
+        let _ = collect(|a| c.on_trace(SimTime::from_millis(21), &wifi_trace(), a));
+        let _ = collect(|a| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, a)
+        });
+        let _ = collect(|a| c.on_channel_clear(SimTime::from_millis(28), a));
+        let _ = collect(|a| c.on_mac_notification(SimTime::from_millis(31), delivered(0), a));
         // Now BetweenPackets; the white space ends:
-        let actions = c.on_channel_busy(SimTime::from_millis(33));
+        let actions = collect(|a| c.on_channel_busy(SimTime::from_millis(33), a));
         assert!(
             actions.contains(&ClientAction::MacSendControl { bytes: 120 }),
             "waiting client must preempt the doomed CSMA and re-signal, got {actions:?}"
@@ -1020,12 +1051,10 @@ mod tests {
     #[test]
     fn stale_timers_are_ignored() {
         let mut c = client();
-        assert!(c
-            .on_timer(SimTime::ZERO, ClientTimer::NextPacket)
-            .is_empty());
-        assert!(c.on_timer(SimTime::ZERO, ClientTimer::SignalGap).is_empty());
-        assert!(c.on_timer(SimTime::ZERO, ClientTimer::Retry).is_empty());
-        assert!(c.on_channel_clear(SimTime::ZERO).is_empty());
-        assert!(c.on_trace(SimTime::ZERO, &wifi_trace()).is_empty());
+        assert!(collect(|a| c.on_timer(SimTime::ZERO, ClientTimer::NextPacket, a)).is_empty());
+        assert!(collect(|a| c.on_timer(SimTime::ZERO, ClientTimer::SignalGap, a)).is_empty());
+        assert!(collect(|a| c.on_timer(SimTime::ZERO, ClientTimer::Retry, a)).is_empty());
+        assert!(collect(|a| c.on_channel_clear(SimTime::ZERO, a)).is_empty());
+        assert!(collect(|a| c.on_trace(SimTime::ZERO, &wifi_trace(), a)).is_empty());
     }
 }

@@ -15,7 +15,7 @@
 //!   the Wi-Fi device no longer detects ZigBee traffic for a given time").
 
 use bicord_phy::csi::{CsiModel, CsiSample};
-use bicord_sim::obs::{EventSink, NoopSink, TraceEvent};
+use bicord_sim::obs::{EventSink, TraceEvent};
 use bicord_sim::{SimDuration, SimTime};
 
 use crate::allocation::{AllocatorConfig, WhiteSpaceAllocator};
@@ -73,12 +73,16 @@ impl Default for CoordinatorConfig {
 /// ```
 /// use bicord_core::coordinator::{BicordCoordinator, CoordinatorAction, CoordinatorConfig};
 /// use bicord_phy::csi::{CsiModel, CsiSample};
+/// use bicord_sim::obs::NoopSink;
 /// use bicord_sim::SimTime;
 ///
 /// let mut coord = BicordCoordinator::new(CoordinatorConfig::default(), CsiModel::intel5300());
 /// // Two consecutive high-fluctuation samples = a channel request:
-/// let _ = coord.on_csi_sample(CsiSample { time: SimTime::from_millis(1), deviation: 0.6 });
-/// let actions = coord.on_csi_sample(CsiSample { time: SimTime::from_millis(2), deviation: 0.6 });
+/// let mut actions = Vec::new();
+/// for ms in [1, 2] {
+///     let sample = CsiSample { time: SimTime::from_millis(ms), deviation: 0.6 };
+///     coord.on_csi_sample(sample, &mut NoopSink, &mut actions);
+/// }
 /// assert!(actions.iter().any(|a| matches!(a, CoordinatorAction::Reserve(_))));
 /// ```
 #[derive(Debug, Clone)]
@@ -133,43 +137,35 @@ impl BicordCoordinator {
         self.respond
     }
 
-    /// Feeds one CSI sample; may emit a reservation.
-    pub fn on_csi_sample(&mut self, sample: CsiSample) -> Vec<CoordinatorAction> {
-        self.on_csi_sample_obs(sample, &mut NoopSink)
-    }
-
-    /// [`BicordCoordinator::on_csi_sample`] with observability: the
-    /// detector emits per-sample classification/detection records and the
-    /// allocator its round/estimate records into `sink`. With [`NoopSink`]
-    /// this monomorphizes to exactly `on_csi_sample`.
-    pub fn on_csi_sample_obs<S: EventSink>(
+    /// Feeds one CSI sample; may emit a reservation. The detector emits
+    /// its per-sample classification/detection records and the allocator
+    /// its round/estimate records into `sink`; pass [`NoopSink`] for none.
+    ///
+    /// [`NoopSink`]: bicord_sim::obs::NoopSink
+    pub fn on_csi_sample<S: EventSink>(
         &mut self,
         sample: CsiSample,
         sink: &mut S,
-    ) -> Vec<CoordinatorAction> {
-        let Some(detection) = self.detector.push_obs(sample, sink) else {
-            return Vec::new();
-        };
-        self.on_detection_obs(detection, sink)
+        actions: &mut Vec<CoordinatorAction>,
+    ) {
+        if let Some(detection) = self.detector.push_obs(sample, sink) {
+            self.on_detection(detection, sink, actions);
+        }
     }
 
     /// Handles a positive detection directly (exposed for tests and for
-    /// scenarios that run their own detector).
-    pub fn on_detection(&mut self, detection: Detection) -> Vec<CoordinatorAction> {
-        self.on_detection_obs(detection, &mut NoopSink)
-    }
-
-    /// [`BicordCoordinator::on_detection`] with observability: emits the
-    /// allocator's round records and a [`TraceEvent::Reservation`] when a
-    /// white space is granted.
-    pub fn on_detection_obs<S: EventSink>(
+    /// scenarios that run their own detector). Emits the allocator's
+    /// round records and a [`TraceEvent::Reservation`] when a white space
+    /// is granted.
+    pub fn on_detection<S: EventSink>(
         &mut self,
         detection: Detection,
         sink: &mut S,
-    ) -> Vec<CoordinatorAction> {
+        actions: &mut Vec<CoordinatorAction>,
+    ) {
         if !self.respond {
             self.ignored_requests += 1;
-            return Vec::new();
+            return;
         }
         let now = detection.at;
         let ws = self.allocator.on_request_obs(now, sink);
@@ -179,36 +175,23 @@ impl BicordCoordinator {
             ws_us: ws.as_micros(),
         });
         let gap = self.allocator.config().end_detect_gap;
-        vec![
+        actions.extend([
             CoordinatorAction::Reserve(ws),
             CoordinatorAction::CancelTimer(CoordinatorTimer::BurstEnd),
             CoordinatorAction::SetTimer {
                 timer: CoordinatorTimer::BurstEnd,
                 at: now + ws + gap,
             },
-        ]
+        ]);
     }
 
-    /// Handles an expired timer.
-    pub fn on_timer(&mut self, now: SimTime, timer: CoordinatorTimer) -> Vec<CoordinatorAction> {
-        self.on_timer_obs(now, timer, &mut NoopSink)
-    }
-
-    /// [`BicordCoordinator::on_timer`] with observability: burst-end
-    /// timers run the allocator's estimation step, which emits its
-    /// [`TraceEvent::Estimate`]/[`TraceEvent::ReEstimate`] records.
-    pub fn on_timer_obs<S: EventSink>(
-        &mut self,
-        now: SimTime,
-        timer: CoordinatorTimer,
-        sink: &mut S,
-    ) -> Vec<CoordinatorAction> {
-        match timer {
-            CoordinatorTimer::BurstEnd => {
-                self.allocator.on_burst_end_obs(now, sink);
-                Vec::new()
-            }
-        }
+    /// Handles an expired timer. Burst-end timers run the allocator's
+    /// estimation step, which emits its
+    /// [`TraceEvent::Estimate`]/[`TraceEvent::ReEstimate`] records; no
+    /// timer emits actions.
+    pub fn on_timer<S: EventSink>(&mut self, now: SimTime, timer: CoordinatorTimer, sink: &mut S) {
+        let CoordinatorTimer::BurstEnd = timer;
+        self.allocator.on_burst_end_obs(now, sink);
     }
 
     /// Resets the detector's sliding window (e.g. when the CSI stream
@@ -222,9 +205,17 @@ impl BicordCoordinator {
 mod tests {
     use super::*;
     use crate::allocation::AllocationPhase;
+    use bicord_sim::obs::NoopSink;
 
     fn coord() -> BicordCoordinator {
         BicordCoordinator::new(CoordinatorConfig::default(), CsiModel::intel5300())
+    }
+
+    /// The actions one handler call appends to a fresh buffer.
+    fn collect(f: impl FnOnce(&mut Vec<CoordinatorAction>)) -> Vec<CoordinatorAction> {
+        let mut actions = Vec::new();
+        f(&mut actions);
+        actions
     }
 
     fn high(ms: u64) -> CsiSample {
@@ -244,8 +235,8 @@ mod tests {
     #[test]
     fn detection_triggers_reservation_and_burst_end_timer() {
         let mut c = coord();
-        assert!(c.on_csi_sample(high(10)).is_empty());
-        let actions = c.on_csi_sample(high(11));
+        assert!(collect(|a| c.on_csi_sample(high(10), &mut NoopSink, a)).is_empty());
+        let actions = collect(|a| c.on_csi_sample(high(11), &mut NoopSink, a));
         let ws = reserve_len(&actions).expect("reservation expected");
         assert_eq!(ws, SimDuration::from_millis(30));
         // Burst-end timer = detection + ws + 20 ms gap.
@@ -260,10 +251,14 @@ mod tests {
     #[test]
     fn quiet_gap_without_requests_ends_burst() {
         let mut c = coord();
-        let _ = c.on_csi_sample(high(10));
-        let _ = c.on_csi_sample(high(11));
+        let _ = collect(|a| c.on_csi_sample(high(10), &mut NoopSink, a));
+        let _ = collect(|a| c.on_csi_sample(high(11), &mut NoopSink, a));
         assert!(c.allocator().burst_active());
-        let _ = c.on_timer(SimTime::from_millis(61), CoordinatorTimer::BurstEnd);
+        c.on_timer(
+            SimTime::from_millis(61),
+            CoordinatorTimer::BurstEnd,
+            &mut NoopSink,
+        );
         assert!(!c.allocator().burst_active());
         // Single round → converged.
         assert_eq!(c.allocator().phase(), AllocationPhase::Converged);
@@ -273,17 +268,21 @@ mod tests {
     fn repeated_requests_accumulate_rounds() {
         let mut c = coord();
         // Round 1:
-        let _ = c.on_csi_sample(high(10));
-        let _ = c.on_csi_sample(high(11));
+        let _ = collect(|a| c.on_csi_sample(high(10), &mut NoopSink, a));
+        let _ = collect(|a| c.on_csi_sample(high(11), &mut NoopSink, a));
         // Round 2 (after the white space, > holdoff later):
-        let _ = c.on_csi_sample(high(45));
-        let actions = c.on_csi_sample(high(46));
+        let _ = collect(|a| c.on_csi_sample(high(45), &mut NoopSink, a));
+        let actions = collect(|a| c.on_csi_sample(high(46), &mut NoopSink, a));
         assert!(reserve_len(&actions).is_some());
         assert_eq!(c.allocator().rounds_this_burst(), 2);
         // End of burst: Eq. 1 gives (30-16)*2 = 28 ms, below the stall-
         // breaking minimum growth of step/4, so the estimate lands at
         // 30 + 7.5 = 37.5 ms.
-        let _ = c.on_timer(SimTime::from_millis(120), CoordinatorTimer::BurstEnd);
+        c.on_timer(
+            SimTime::from_millis(120),
+            CoordinatorTimer::BurstEnd,
+            &mut NoopSink,
+        );
         assert_eq!(c.allocator().estimate(), SimDuration::from_micros(37_500));
     }
 
@@ -292,15 +291,15 @@ mod tests {
         let mut c = coord();
         c.set_respond(false);
         assert!(!c.responds());
-        let _ = c.on_csi_sample(high(10));
-        let actions = c.on_csi_sample(high(11));
+        let _ = collect(|a| c.on_csi_sample(high(10), &mut NoopSink, a));
+        let actions = collect(|a| c.on_csi_sample(high(11), &mut NoopSink, a));
         assert!(actions.is_empty());
         assert_eq!(c.ignored_requests(), 1);
         assert_eq!(c.reservations(), 0);
         // Re-enabling serves the next request.
         c.set_respond(true);
-        let _ = c.on_csi_sample(high(40));
-        let actions = c.on_csi_sample(high(41));
+        let _ = collect(|a| c.on_csi_sample(high(40), &mut NoopSink, a));
+        let actions = collect(|a| c.on_csi_sample(high(41), &mut NoopSink, a));
         assert!(reserve_len(&actions).is_some());
     }
 
@@ -312,7 +311,7 @@ mod tests {
                 time: SimTime::from_micros(i * 500),
                 deviation: 0.05,
             };
-            assert!(c.on_csi_sample(s).is_empty());
+            assert!(collect(|a| c.on_csi_sample(s, &mut NoopSink, a)).is_empty());
         }
         assert_eq!(c.reservations(), 0);
     }
@@ -344,8 +343,8 @@ mod tests {
                 for (rounds, gap_ms) in bursts {
                     for _ in 0..rounds {
                         // Two highs 1 ms apart fire the detector.
-                        let _ = c.on_csi_sample(high(now_ms));
-                        let actions = c.on_csi_sample(high(now_ms + 1));
+                        let _ = collect(|a| c.on_csi_sample(high(now_ms), &mut NoopSink, a));
+                        let actions = collect(|a| c.on_csi_sample(high(now_ms + 1), &mut NoopSink, a));
                         let ws = reserve_len(&actions);
                         if let Some(ws) = ws {
                             prop_assert!(ws >= cfg.min_white_space);
@@ -365,7 +364,7 @@ mod tests {
                     let burst_end = SimTime::from_millis(now_ms)
                         + last_ws
                         + cfg.end_detect_gap;
-                    let _ = c.on_timer(burst_end, CoordinatorTimer::BurstEnd);
+                    c.on_timer(burst_end, CoordinatorTimer::BurstEnd, &mut NoopSink);
                     prop_assert!(!c.allocator().burst_active());
                     served += 1;
                     prop_assert_eq!(c.allocator().bursts_seen(), served);
@@ -379,8 +378,11 @@ mod tests {
     #[test]
     fn detector_window_reset_passthrough() {
         let mut c = coord();
-        let _ = c.on_csi_sample(high(10));
+        let _ = collect(|a| c.on_csi_sample(high(10), &mut NoopSink, a));
         c.reset_detector_window();
-        assert!(c.on_csi_sample(high(11)).is_empty(), "window was cleared");
+        assert!(
+            collect(|a| c.on_csi_sample(high(11), &mut NoopSink, a)).is_empty(),
+            "window was cleared"
+        );
     }
 }

@@ -12,7 +12,9 @@
 //!
 //! The machine never touches the medium or the event queue. It consumes
 //! notifications (`on_channel_busy`, `on_channel_idle`, `on_timer`,
-//! `on_tx_end`) and emits [`WifiAction`]s that the scenario layer executes.
+//! `on_tx_end`) and appends the [`WifiAction`]s that the scenario layer
+//! executes to a caller-owned buffer, so a driver that reuses one buffer
+//! allocates nothing per event.
 
 use std::collections::VecDeque;
 
@@ -101,7 +103,8 @@ enum Phase {
 ///
 /// let mut mac = WifiMac::new(WifiRate::Dsss1, 42, 0);
 /// mac.set_saturated(Some((100, WifiPriority::Low)));
-/// let actions = mac.on_channel_idle(SimTime::ZERO);
+/// let mut actions = Vec::new();
+/// mac.on_channel_idle(SimTime::ZERO, &mut actions);
 /// // The machine first defers for DIFS:
 /// assert!(matches!(
 ///     actions.as_slice(),
@@ -189,48 +192,39 @@ impl WifiMac {
     }
 
     /// Enqueues a data frame and starts channel access if idle.
-    pub fn enqueue(&mut self, now: SimTime, spec: WifiFrameSpec) -> Vec<WifiAction> {
+    pub fn enqueue(&mut self, now: SimTime, spec: WifiFrameSpec, actions: &mut Vec<WifiAction>) {
         self.queue.push_back(spec);
-        let mut actions = Vec::new();
-        self.try_advance(now, &mut actions);
-        actions
+        self.try_advance(now, actions);
     }
 
     /// Requests a CTS-to-self reserving the channel for `nav` after the
     /// CTS frame — BiCord's white-space primitive. Takes priority over
     /// pending data. If a reservation is already pending, the longer NAV
     /// wins.
-    pub fn reserve_channel(&mut self, now: SimTime, nav: SimDuration) -> Vec<WifiAction> {
+    pub fn reserve_channel(
+        &mut self,
+        now: SimTime,
+        nav: SimDuration,
+        actions: &mut Vec<WifiAction>,
+    ) {
         self.pending_cts = Some(match self.pending_cts {
             Some(prev) => prev.max(nav),
             None => nav,
         });
-        let mut actions = Vec::new();
         // A pending CTS preempts an armed DIFS/backoff so it goes out with
         // zero backoff; it cannot preempt an in-flight frame.
         match self.phase {
             Phase::Difs { .. } | Phase::Backoff { .. } => {
-                self.cancel_access_timers(&mut actions);
+                self.cancel_access_timers(actions);
                 self.phase = Phase::Blocked { frozen_slots: None };
             }
             _ => {}
         }
-        self.try_advance(now, &mut actions);
-        actions
+        self.try_advance(now, actions);
     }
 
     /// Notifies the machine that carrier sense turned busy.
-    pub fn on_channel_busy(&mut self, now: SimTime) -> Vec<WifiAction> {
-        let mut actions = Vec::new();
-        self.on_channel_busy_into(now, &mut actions);
-        actions
-    }
-
-    /// Allocation-free variant of [`WifiMac::on_channel_busy`]: appends
-    /// the resulting actions to a caller-owned buffer. Carrier-sense
-    /// transitions fire on every transmission edge, so drivers on a hot
-    /// path should reuse one buffer across calls.
-    pub fn on_channel_busy_into(&mut self, now: SimTime, actions: &mut Vec<WifiAction>) {
+    pub fn on_channel_busy(&mut self, now: SimTime, actions: &mut Vec<WifiAction>) {
         self.sensed_busy = true;
         match self.phase {
             Phase::Difs { resume_slots } => {
@@ -255,24 +249,15 @@ impl WifiMac {
     }
 
     /// Notifies the machine that carrier sense turned idle.
-    pub fn on_channel_idle(&mut self, now: SimTime) -> Vec<WifiAction> {
-        let mut actions = Vec::new();
-        self.on_channel_idle_into(now, &mut actions);
-        actions
-    }
-
-    /// Allocation-free variant of [`WifiMac::on_channel_idle`]: appends
-    /// the resulting actions to a caller-owned buffer.
-    pub fn on_channel_idle_into(&mut self, now: SimTime, actions: &mut Vec<WifiAction>) {
+    pub fn on_channel_idle(&mut self, now: SimTime, actions: &mut Vec<WifiAction>) {
         self.sensed_busy = false;
         self.try_advance(now, actions);
     }
 
     /// Sets the NAV from a received CTS (another station's reservation).
-    pub fn set_nav(&mut self, now: SimTime, until: SimTime) -> Vec<WifiAction> {
-        let mut actions = Vec::new();
+    pub fn set_nav(&mut self, now: SimTime, until: SimTime, actions: &mut Vec<WifiAction>) {
         if until <= self.nav_until {
-            return actions;
+            return;
         }
         self.nav_until = until;
         match self.phase {
@@ -299,13 +284,10 @@ impl WifiMac {
             timer: WifiTimer::NavEnd,
             at: self.nav_until,
         });
-        let _ = now;
-        actions
     }
 
     /// Handles an expired timer.
-    pub fn on_timer(&mut self, now: SimTime, timer: WifiTimer) -> Vec<WifiAction> {
-        let mut actions = Vec::new();
+    pub fn on_timer(&mut self, now: SimTime, timer: WifiTimer, actions: &mut Vec<WifiAction>) {
         match timer {
             WifiTimer::Difs => {
                 if let Phase::Difs { resume_slots } = self.phase {
@@ -315,7 +297,7 @@ impl WifiMac {
                         None => self.rng.gen_range(0..=self.cw),
                     };
                     if slots == 0 {
-                        self.start_tx(now, &mut actions);
+                        self.start_tx(now, actions);
                     } else {
                         let until = now + wifi_timing::SLOT * u64::from(slots);
                         self.phase = Phase::Backoff { until };
@@ -328,29 +310,28 @@ impl WifiMac {
             }
             WifiTimer::Slot => {
                 if let Phase::Backoff { .. } = self.phase {
-                    self.start_tx(now, &mut actions);
+                    self.start_tx(now, actions);
                 }
             }
             WifiTimer::NavEnd | WifiTimer::QuietEnd => {
-                self.try_advance(now, &mut actions);
+                self.try_advance(now, actions);
             }
         }
-        actions
     }
 
     /// Notifies the machine that its own transmission finished.
     ///
-    /// Returns the frame kind that completed plus follow-up actions.
+    /// Returns the frame kind that completed; follow-up actions go to
+    /// `actions`.
     ///
     /// # Panics
     ///
     /// Panics if the machine was not transmitting (a scenario wiring bug).
-    pub fn on_tx_end(&mut self, now: SimTime) -> (WifiFrameKind, Vec<WifiAction>) {
+    pub fn on_tx_end(&mut self, now: SimTime, actions: &mut Vec<WifiAction>) -> WifiFrameKind {
         let kind = match self.phase {
             Phase::Transmitting { kind } => kind,
             other => panic!("on_tx_end in phase {other:?}"),
         };
-        let mut actions = Vec::new();
         self.phase = Phase::Idle;
         match kind {
             WifiFrameKind::Cts { nav } => {
@@ -365,8 +346,8 @@ impl WifiMac {
                 self.frames_sent += 1;
             }
         }
-        self.try_advance(now, &mut actions);
-        (kind, actions)
+        self.try_advance(now, actions);
+        kind
     }
 
     fn has_traffic(&self) -> bool {
@@ -470,6 +451,13 @@ mod tests {
         WifiMac::new(WifiRate::Dsss1, 7, 0)
     }
 
+    /// The actions one handler call appends to a fresh buffer.
+    fn collect<R>(f: impl FnOnce(&mut Vec<WifiAction>) -> R) -> Vec<WifiAction> {
+        let mut actions = Vec::new();
+        f(&mut actions);
+        actions
+    }
+
     fn assert_timer(actions: &[WifiAction], timer: WifiTimer) -> SimTime {
         for a in actions {
             if let WifiAction::SetTimer { timer: t, at } = a {
@@ -510,7 +498,7 @@ mod tests {
                 .min_by_key(|(at, _)| *at)
                 .expect("machine stalled with no timers");
             now = next.0;
-            actions = mac.on_timer(now, next.1);
+            actions = collect(|a| mac.on_timer(now, next.1, a));
         }
         panic!("machine never transmitted");
     }
@@ -518,7 +506,7 @@ mod tests {
     #[test]
     fn idle_machine_does_nothing() {
         let mut m = mac();
-        assert!(m.on_channel_idle(SimTime::ZERO).is_empty());
+        assert!(collect(|a| m.on_channel_idle(SimTime::ZERO, a)).is_empty());
         assert!(!m.is_transmitting());
         assert_eq!(m.queue_len(), 0);
         assert_eq!(m.head_priority(), None);
@@ -527,14 +515,17 @@ mod tests {
     #[test]
     fn enqueue_starts_difs_then_backoff_then_tx() {
         let mut m = mac();
-        let actions = m.enqueue(
-            SimTime::ZERO,
-            WifiFrameSpec {
-                mpdu_bytes: 100,
-                priority: WifiPriority::Low,
-                enqueued_at: SimTime::ZERO,
-            },
-        );
+        let actions = collect(|a| {
+            m.enqueue(
+                SimTime::ZERO,
+                WifiFrameSpec {
+                    mpdu_bytes: 100,
+                    priority: WifiPriority::Low,
+                    enqueued_at: SimTime::ZERO,
+                },
+                a,
+            )
+        });
         let difs_at = assert_timer(&actions, WifiTimer::Difs);
         assert_eq!(difs_at, SimTime::from_micros(50));
         let (tx_at, kind) = drive_to_tx(&mut m, actions, SimTime::ZERO);
@@ -548,7 +539,7 @@ mod tests {
         ));
         assert!(m.is_transmitting());
         // Completing the frame counts it.
-        let (done, _) = m.on_tx_end(tx_at + SimDuration::from_micros(992));
+        let done = m.on_tx_end(tx_at + SimDuration::from_micros(992), &mut Vec::new());
         assert_eq!(done, kind);
         assert_eq!(m.frames_sent(), 1);
     }
@@ -557,9 +548,9 @@ mod tests {
     fn saturated_mode_sends_back_to_back() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let actions = m.on_channel_idle(SimTime::ZERO);
+        let actions = collect(|a| m.on_channel_idle(SimTime::ZERO, a));
         let (t1, _) = drive_to_tx(&mut m, actions, SimTime::ZERO);
-        let (_, actions) = m.on_tx_end(t1 + SimDuration::from_micros(992));
+        let actions = collect(|a| m.on_tx_end(t1 + SimDuration::from_micros(992), a));
         // Immediately re-arms DIFS for the next frame:
         let (t2, _) = drive_to_tx(&mut m, actions, t1 + SimDuration::from_micros(992));
         assert!(t2 > t1);
@@ -572,30 +563,33 @@ mod tests {
     #[test]
     fn busy_channel_freezes_backoff() {
         let mut m = mac();
-        let actions = m.enqueue(
-            SimTime::ZERO,
-            WifiFrameSpec {
-                mpdu_bytes: 100,
-                priority: WifiPriority::Low,
-                enqueued_at: SimTime::ZERO,
-            },
-        );
+        let actions = collect(|a| {
+            m.enqueue(
+                SimTime::ZERO,
+                WifiFrameSpec {
+                    mpdu_bytes: 100,
+                    priority: WifiPriority::Low,
+                    enqueued_at: SimTime::ZERO,
+                },
+                a,
+            )
+        });
         let difs_at = assert_timer(&actions, WifiTimer::Difs);
         // DIFS elapses; backoff begins (or tx if zero slots — retry seeds
         // until we get a nonzero backoff).
-        let actions = m.on_timer(difs_at, WifiTimer::Difs);
+        let actions = collect(|a| m.on_timer(difs_at, WifiTimer::Difs, a));
         if find_start_tx(&actions).is_some() {
             // Zero backoff with this seed — acceptable; nothing to freeze.
             return;
         }
         let slot_at = assert_timer(&actions, WifiTimer::Slot);
         // Channel turns busy mid-backoff:
-        let actions = m.on_channel_busy(slot_at - SimDuration::from_micros(5));
+        let actions = collect(|a| m.on_channel_busy(slot_at - SimDuration::from_micros(5), a));
         assert!(actions.contains(&WifiAction::CancelTimer(WifiTimer::Slot)));
         // Stale slot timer firing anyway is ignored:
-        assert!(m.on_timer(slot_at, WifiTimer::Slot).is_empty());
+        assert!(collect(|a| m.on_timer(slot_at, WifiTimer::Slot, a)).is_empty());
         // Idle again: DIFS then resume remaining slots.
-        let actions = m.on_channel_idle(SimTime::from_millis(2));
+        let actions = collect(|a| m.on_channel_idle(SimTime::from_millis(2), a));
         assert_timer(&actions, WifiTimer::Difs);
         let (_, kind) = drive_to_tx(&mut m, actions, SimTime::from_millis(2));
         assert!(matches!(kind, WifiFrameKind::Data { .. }));
@@ -605,15 +599,17 @@ mod tests {
     fn cts_reservation_preempts_data_and_quiets_sender() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let actions = m.on_channel_idle(SimTime::ZERO);
+        let actions = collect(|a| m.on_channel_idle(SimTime::ZERO, a));
         // Before anything transmits, ask for a reservation:
         let nav = SimDuration::from_millis(30);
         let mut all = actions;
-        all.extend(m.reserve_channel(SimTime::from_micros(10), nav));
+        all.extend(collect(|a| {
+            m.reserve_channel(SimTime::from_micros(10), nav, a)
+        }));
         let (tx_at, kind) = drive_to_tx(&mut m, all, SimTime::from_micros(10));
         assert_eq!(kind, WifiFrameKind::Cts { nav });
         let end = tx_at + wifi_cts_airtime(WifiRate::Dsss1);
-        let (_, actions) = m.on_tx_end(end);
+        let actions = collect(|a| m.on_tx_end(end, a));
         assert_eq!(m.cts_sent(), 1);
         assert_eq!(m.quiet_until(), end + nav);
         // The machine must be silent until the quiet period expires:
@@ -621,7 +617,7 @@ mod tests {
         let quiet_end = assert_timer(&actions, WifiTimer::QuietEnd);
         assert_eq!(quiet_end, end + nav);
         // After QuietEnd it resumes data:
-        let actions = m.on_timer(quiet_end, WifiTimer::QuietEnd);
+        let actions = collect(|a| m.on_timer(quiet_end, WifiTimer::QuietEnd, a));
         let (_, kind) = drive_to_tx(&mut m, actions, quiet_end);
         assert!(matches!(kind, WifiFrameKind::Data { .. }));
     }
@@ -630,20 +626,20 @@ mod tests {
     fn nav_from_other_station_blocks_access() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let actions = m.on_channel_idle(SimTime::ZERO);
+        let actions = collect(|a| m.on_channel_idle(SimTime::ZERO, a));
         let nav_until = SimTime::from_millis(20);
         let mut acts = actions;
-        acts.extend(m.set_nav(SimTime::from_micros(5), nav_until));
+        acts.extend(collect(|a| {
+            m.set_nav(SimTime::from_micros(5), nav_until, a)
+        }));
         // All access timers cancelled, NavEnd armed:
         assert!(acts
             .iter()
             .any(|a| matches!(a, WifiAction::SetTimer { timer: WifiTimer::NavEnd, at } if *at == nav_until)));
         // DIFS firing during NAV is stale and ignored:
-        assert!(m
-            .on_timer(SimTime::from_micros(50), WifiTimer::Difs)
-            .is_empty());
+        assert!(collect(|a| m.on_timer(SimTime::from_micros(50), WifiTimer::Difs, a)).is_empty());
         // At NAV end, access restarts:
-        let actions = m.on_timer(nav_until, WifiTimer::NavEnd);
+        let actions = collect(|a| m.on_timer(nav_until, WifiTimer::NavEnd, a));
         assert_timer(&actions, WifiTimer::Difs);
     }
 
@@ -651,9 +647,9 @@ mod tests {
     fn shorter_nav_does_not_shrink_existing() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let _ = m.on_channel_idle(SimTime::ZERO);
-        let _ = m.set_nav(SimTime::ZERO, SimTime::from_millis(20));
-        let actions = m.set_nav(SimTime::from_millis(1), SimTime::from_millis(10));
+        let _ = collect(|a| m.on_channel_idle(SimTime::ZERO, a));
+        let _ = collect(|a| m.set_nav(SimTime::ZERO, SimTime::from_millis(20), a));
+        let actions = collect(|a| m.set_nav(SimTime::from_millis(1), SimTime::from_millis(10), a));
         assert!(actions.is_empty(), "shorter NAV must be ignored");
     }
 
@@ -661,17 +657,20 @@ mod tests {
     fn reservation_while_transmitting_waits_for_tx_end() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let actions = m.on_channel_idle(SimTime::ZERO);
+        let actions = collect(|a| m.on_channel_idle(SimTime::ZERO, a));
         let (tx_at, _) = drive_to_tx(&mut m, actions, SimTime::ZERO);
-        let actions = m.reserve_channel(
-            tx_at + SimDuration::from_micros(100),
-            SimDuration::from_millis(40),
-        );
+        let actions = collect(|a| {
+            m.reserve_channel(
+                tx_at + SimDuration::from_micros(100),
+                SimDuration::from_millis(40),
+                a,
+            )
+        });
         assert!(
             find_start_tx(&actions).is_none(),
             "cannot preempt in-flight frame"
         );
-        let (_, actions) = m.on_tx_end(tx_at + SimDuration::from_micros(992));
+        let actions = collect(|a| m.on_tx_end(tx_at + SimDuration::from_micros(992), a));
         // Next transmission must be the CTS:
         let (_, kind) = drive_to_tx(&mut m, actions, tx_at + SimDuration::from_micros(992));
         assert!(matches!(kind, WifiFrameKind::Cts { .. }));
@@ -680,8 +679,9 @@ mod tests {
     #[test]
     fn concurrent_reservations_keep_longest_nav() {
         let mut m = mac();
-        let _ = m.reserve_channel(SimTime::ZERO, SimDuration::from_millis(30));
-        let actions = m.reserve_channel(SimTime::ZERO, SimDuration::from_millis(20));
+        let _ = collect(|a| m.reserve_channel(SimTime::ZERO, SimDuration::from_millis(30), a));
+        let actions =
+            collect(|a| m.reserve_channel(SimTime::ZERO, SimDuration::from_millis(20), a));
         let (_, kind) = drive_to_tx(&mut m, actions, SimTime::ZERO);
         assert_eq!(
             kind,
@@ -697,14 +697,17 @@ mod tests {
         assert_eq!(m.head_priority(), None);
         m.set_saturated(Some((100, WifiPriority::Low)));
         assert_eq!(m.head_priority(), Some(WifiPriority::Low));
-        let _ = m.enqueue(
-            SimTime::ZERO,
-            WifiFrameSpec {
-                mpdu_bytes: 500,
-                priority: WifiPriority::High,
-                enqueued_at: SimTime::ZERO,
-            },
-        );
+        let _ = collect(|a| {
+            m.enqueue(
+                SimTime::ZERO,
+                WifiFrameSpec {
+                    mpdu_bytes: 500,
+                    priority: WifiPriority::High,
+                    enqueued_at: SimTime::ZERO,
+                },
+                a,
+            )
+        });
         assert_eq!(m.head_priority(), Some(WifiPriority::High));
     }
 
@@ -712,23 +715,25 @@ mod tests {
     #[should_panic(expected = "on_tx_end in phase")]
     fn tx_end_without_tx_panics() {
         let mut m = mac();
-        let _ = m.on_tx_end(SimTime::ZERO);
+        m.on_tx_end(SimTime::ZERO, &mut Vec::new());
     }
 
     #[test]
     fn reservation_during_nav_waits_for_nav_end() {
         let mut m = mac();
         let nav_until = SimTime::from_millis(15);
-        let _ = m.set_nav(SimTime::ZERO, nav_until);
+        let _ = collect(|a| m.set_nav(SimTime::ZERO, nav_until, a));
         // A reservation request during someone else's NAV must not
         // transmit before the NAV expires.
-        let actions = m.reserve_channel(SimTime::from_millis(1), SimDuration::from_millis(30));
+        let actions = collect(|a| {
+            m.reserve_channel(SimTime::from_millis(1), SimDuration::from_millis(30), a)
+        });
         assert!(find_start_tx(&actions).is_none());
         // NAV expiry restarts access, and the CTS goes out with zero
         // backoff after DIFS.
-        let actions = m.on_timer(nav_until, WifiTimer::NavEnd);
+        let actions = collect(|a| m.on_timer(nav_until, WifiTimer::NavEnd, a));
         let difs_at = assert_timer(&actions, WifiTimer::Difs);
-        let actions = m.on_timer(difs_at, WifiTimer::Difs);
+        let actions = collect(|a| m.on_timer(difs_at, WifiTimer::Difs, a));
         assert!(matches!(
             find_start_tx(&actions),
             Some(WifiFrameKind::Cts { .. })
@@ -739,17 +744,19 @@ mod tests {
     fn busy_during_own_quiet_does_not_double_block() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let actions = m.on_channel_idle(SimTime::ZERO);
+        let actions = collect(|a| m.on_channel_idle(SimTime::ZERO, a));
         let mut all = actions;
-        all.extend(m.reserve_channel(SimTime::from_micros(10), SimDuration::from_millis(10)));
+        all.extend(collect(|a| {
+            m.reserve_channel(SimTime::from_micros(10), SimDuration::from_millis(10), a)
+        }));
         let (tx_at, _) = drive_to_tx(&mut m, all, SimTime::from_micros(10));
         let end = tx_at + wifi_cts_airtime(WifiRate::Dsss1);
-        let (_, actions) = m.on_tx_end(end);
+        let actions = collect(|a| m.on_tx_end(end, a));
         let quiet_end = assert_timer(&actions, WifiTimer::QuietEnd);
         // A busy/idle flap during the quiet period (e.g. the ZigBee burst
         // it reserved for) must not resurrect data access early.
-        let _ = m.on_channel_busy(end + SimDuration::from_millis(2));
-        let actions = m.on_channel_idle(end + SimDuration::from_millis(4));
+        let _ = collect(|a| m.on_channel_busy(end + SimDuration::from_millis(2), a));
+        let actions = collect(|a| m.on_channel_idle(end + SimDuration::from_millis(4), a));
         assert!(
             find_start_tx(&actions).is_none()
                 && !actions.iter().any(|a| matches!(
@@ -762,28 +769,31 @@ mod tests {
             "no channel access while the own quiet period runs: {actions:?}"
         );
         // After QuietEnd, access resumes.
-        let actions = m.on_timer(quiet_end, WifiTimer::QuietEnd);
+        let actions = collect(|a| m.on_timer(quiet_end, WifiTimer::QuietEnd, a));
         assert_timer(&actions, WifiTimer::Difs);
     }
 
     #[test]
     fn enqueue_while_blocked_does_not_start_access() {
         let mut m = mac();
-        let _ = m.on_channel_busy(SimTime::ZERO);
-        let actions = m.enqueue(
-            SimTime::from_micros(10),
-            WifiFrameSpec {
-                mpdu_bytes: 100,
-                priority: WifiPriority::Low,
-                enqueued_at: SimTime::from_micros(10),
-            },
-        );
+        let _ = collect(|a| m.on_channel_busy(SimTime::ZERO, a));
+        let actions = collect(|a| {
+            m.enqueue(
+                SimTime::from_micros(10),
+                WifiFrameSpec {
+                    mpdu_bytes: 100,
+                    priority: WifiPriority::Low,
+                    enqueued_at: SimTime::from_micros(10),
+                },
+                a,
+            )
+        });
         assert!(
             actions.is_empty(),
             "busy channel blocks access: {actions:?}"
         );
         assert_eq!(m.queue_len(), 1);
-        let actions = m.on_channel_idle(SimTime::from_millis(1));
+        let actions = collect(|a| m.on_channel_idle(SimTime::from_millis(1), a));
         assert_timer(&actions, WifiTimer::Difs);
     }
 
@@ -792,7 +802,7 @@ mod tests {
         let run = |seed| {
             let mut m = WifiMac::new(WifiRate::Dsss1, seed, 0);
             m.set_saturated(Some((100, WifiPriority::Low)));
-            let actions = m.on_channel_idle(SimTime::ZERO);
+            let actions = collect(|a| m.on_channel_idle(SimTime::ZERO, a));
             let (t, _) = drive_to_tx(&mut m, actions, SimTime::ZERO);
             t
         };

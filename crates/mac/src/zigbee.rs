@@ -154,7 +154,8 @@ enum Phase {
 /// use bicord_sim::SimTime;
 ///
 /// let mut mac = ZigbeeMac::with_defaults(42, 0);
-/// let actions = mac.send_data(SimTime::ZERO, 0, 50);
+/// let mut actions = Vec::new();
+/// mac.send_data(SimTime::ZERO, 0, 50, &mut actions);
 /// // CSMA/CA starts with a random backoff:
 /// assert!(matches!(
 ///     actions.as_slice(),
@@ -220,20 +221,27 @@ impl ZigbeeMac {
     }
 
     /// Queues a data frame for CSMA/CA transmission with ACK.
-    pub fn send_data(&mut self, now: SimTime, seq: u32, mpdu_bytes: usize) -> Vec<ZigbeeAction> {
+    pub fn send_data(
+        &mut self,
+        now: SimTime,
+        seq: u32,
+        mpdu_bytes: usize,
+        actions: &mut Vec<ZigbeeAction>,
+    ) {
         self.queue.push_back(DataSpec { seq, mpdu_bytes });
-        let mut actions = Vec::new();
-        self.try_start(now, &mut actions);
-        actions
+        self.try_start(now, actions);
     }
 
     /// Queues a BiCord control packet: transmitted without CCA and without
     /// ACK, at the front of the line.
-    pub fn send_control(&mut self, now: SimTime, mpdu_bytes: usize) -> Vec<ZigbeeAction> {
+    pub fn send_control(
+        &mut self,
+        now: SimTime,
+        mpdu_bytes: usize,
+        actions: &mut Vec<ZigbeeAction>,
+    ) {
         self.pending_control.push_back(mpdu_bytes);
-        let mut actions = Vec::new();
-        self.try_start(now, &mut actions);
-        actions
+        self.try_start(now, actions);
     }
 
     /// Drops all queued traffic and aborts any pending channel access.
@@ -241,8 +249,7 @@ impl ZigbeeMac {
     /// In-flight transmissions finish on the air (the scenario still calls
     /// [`ZigbeeMac::on_tx_end`]); everything else is cancelled. Queued data
     /// frames are reported as failed with [`FailReason::ChannelAccessFailure`].
-    pub fn flush(&mut self, _now: SimTime) -> Vec<ZigbeeAction> {
-        let mut actions = Vec::new();
+    pub fn flush(&mut self, _now: SimTime, actions: &mut Vec<ZigbeeAction>) {
         match self.phase {
             Phase::Backoff { .. } => actions.push(ZigbeeAction::CancelTimer(ZigbeeTimer::Backoff)),
             Phase::Cca { .. } => actions.push(ZigbeeAction::CancelTimer(ZigbeeTimer::Cca)),
@@ -266,12 +273,10 @@ impl ZigbeeMac {
         if !self.is_transmitting() {
             self.phase = Phase::Idle;
         }
-        actions
     }
 
     /// Handles an expired timer.
-    pub fn on_timer(&mut self, now: SimTime, timer: ZigbeeTimer) -> Vec<ZigbeeAction> {
-        let mut actions = Vec::new();
+    pub fn on_timer(&mut self, now: SimTime, timer: ZigbeeTimer, actions: &mut Vec<ZigbeeAction>) {
         match (timer, self.phase) {
             (ZigbeeTimer::Backoff, Phase::Backoff { nb, be }) => {
                 self.phase = Phase::Cca { nb, be };
@@ -311,40 +316,24 @@ impl ZigbeeMac {
                         seq,
                         reason: FailReason::ExceededRetries,
                     }));
-                    self.enter_ifs(now, &mut actions);
+                    self.enter_ifs(now, actions);
                 } else {
                     // Retransmission restarts CSMA/CA from scratch.
-                    self.begin_csma(now, &mut actions);
+                    self.begin_csma(now, actions);
                 }
             }
             (ZigbeeTimer::Ifs, Phase::Ifs) => {
                 self.phase = Phase::Idle;
-                self.try_start(now, &mut actions);
+                self.try_start(now, actions);
             }
             // Stale timers (cancelled logically but already popped) are
             // ignored.
             _ => {}
         }
-        actions
     }
 
     /// Reports the CCA verdict requested by a [`ZigbeeTimer::Cca`] expiry.
-    pub fn on_cca_result(&mut self, now: SimTime, busy: bool) -> Vec<ZigbeeAction> {
-        let mut actions = Vec::new();
-        self.on_cca_result_into(now, busy, &mut actions);
-        actions
-    }
-
-    /// Allocation-free variant of [`ZigbeeMac::on_cca_result`]: appends
-    /// the resulting actions to a caller-owned buffer. CCA verdicts fire
-    /// once per backoff attempt, so drivers on a hot path should reuse
-    /// one buffer across calls.
-    pub fn on_cca_result_into(
-        &mut self,
-        now: SimTime,
-        busy: bool,
-        actions: &mut Vec<ZigbeeAction>,
-    ) {
+    pub fn on_cca_result(&mut self, now: SimTime, busy: bool, actions: &mut Vec<ZigbeeAction>) {
         let Phase::Cca { nb, be } = self.phase else {
             return;
         };
@@ -381,12 +370,11 @@ impl ZigbeeMac {
     /// # Panics
     ///
     /// Panics if the machine was not transmitting.
-    pub fn on_tx_end(&mut self, now: SimTime) -> (ZigbeeFrameKind, Vec<ZigbeeAction>) {
+    pub fn on_tx_end(&mut self, now: SimTime, actions: &mut Vec<ZigbeeAction>) -> ZigbeeFrameKind {
         let kind = match self.phase {
             Phase::Transmitting { kind } => kind,
             other => panic!("on_tx_end in phase {other:?}"),
         };
-        let mut actions = Vec::new();
         match kind {
             ZigbeeFrameKind::Data { seq, .. } => {
                 self.phase = Phase::AwaitAck { seq };
@@ -398,24 +386,23 @@ impl ZigbeeMac {
             ZigbeeFrameKind::Control { .. } => {
                 actions.push(ZigbeeAction::Notify(ZigbeeNotification::ControlSent));
                 self.phase = Phase::Idle;
-                self.try_start(now, &mut actions);
+                self.try_start(now, actions);
             }
             ZigbeeFrameKind::Ack { .. } => {
                 // Senders do not emit ACKs; receivers use ZigbeeReceiver.
                 self.phase = Phase::Idle;
             }
         }
-        (kind, actions)
+        kind
     }
 
     /// Delivers an ACK heard from the receiver.
-    pub fn on_ack_received(&mut self, now: SimTime, seq: u32) -> Vec<ZigbeeAction> {
-        let mut actions = Vec::new();
+    pub fn on_ack_received(&mut self, now: SimTime, seq: u32, actions: &mut Vec<ZigbeeAction>) {
         let Phase::AwaitAck { seq: expected } = self.phase else {
-            return actions;
+            return;
         };
         if seq != expected {
-            return actions;
+            return;
         }
         actions.push(ZigbeeAction::CancelTimer(ZigbeeTimer::AckTimeout));
         let attempts = self.retries + 1;
@@ -425,8 +412,7 @@ impl ZigbeeMac {
             seq,
             attempts,
         }));
-        self.enter_ifs(now, &mut actions);
-        actions
+        self.enter_ifs(now, actions);
     }
 
     fn enter_ifs(&mut self, now: SimTime, actions: &mut Vec<ZigbeeAction>) {
@@ -485,7 +471,6 @@ impl std::fmt::Debug for ZigbeeMac {
 #[derive(Debug, Default)]
 pub struct ZigbeeReceiver {
     pending_ack: Option<u32>,
-    transmitting: bool,
     frames_received: u64,
 }
 
@@ -501,39 +486,40 @@ impl ZigbeeReceiver {
     }
 
     /// Called by the scenario when a data frame was successfully decoded.
-    pub fn on_data_received(&mut self, now: SimTime, seq: u32) -> Vec<ZigbeeAction> {
+    pub fn on_data_received(&mut self, now: SimTime, seq: u32, actions: &mut Vec<ZigbeeAction>) {
         self.frames_received += 1;
         self.pending_ack = Some(seq);
-        vec![ZigbeeAction::SetTimer {
+        actions.push(ZigbeeAction::SetTimer {
             timer: ZigbeeTimer::Turnaround,
             at: now + zigbee_timing::TURNAROUND,
-        }]
+        });
     }
 
     /// Handles the turnaround timer: sends the pending ACK.
-    pub fn on_timer(&mut self, _now: SimTime, timer: ZigbeeTimer) -> Vec<ZigbeeAction> {
+    pub fn on_timer(&mut self, _now: SimTime, timer: ZigbeeTimer, actions: &mut Vec<ZigbeeAction>) {
         if timer != ZigbeeTimer::Turnaround {
-            return Vec::new();
+            return;
         }
         let Some(seq) = self.pending_ack.take() else {
-            return Vec::new();
+            return;
         };
-        self.transmitting = true;
-        vec![ZigbeeAction::StartTx {
+        actions.push(ZigbeeAction::StartTx {
             kind: ZigbeeFrameKind::Ack { seq },
             airtime: zigbee_ack_airtime(),
-        }]
-    }
-
-    /// Notifies the receiver that its ACK finished transmitting.
-    pub fn on_tx_end(&mut self, _now: SimTime) {
-        self.transmitting = false;
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The actions one handler call appends to a fresh buffer.
+    fn collect<R>(f: impl FnOnce(&mut Vec<ZigbeeAction>) -> R) -> Vec<ZigbeeAction> {
+        let mut actions = Vec::new();
+        f(&mut actions);
+        actions
+    }
 
     fn timer_at(actions: &[ZigbeeAction], timer: ZigbeeTimer) -> SimTime {
         actions
@@ -565,13 +551,13 @@ mod tests {
     /// Runs the happy path up to the data frame being on air; returns the
     /// time the transmission started.
     fn drive_to_data_tx(mac: &mut ZigbeeMac, start: SimTime) -> SimTime {
-        let actions = mac.send_data(start, 0, 50);
+        let actions = collect(|a| mac.send_data(start, 0, 50, a));
         let backoff_at = timer_at(&actions, ZigbeeTimer::Backoff);
-        let actions = mac.on_timer(backoff_at, ZigbeeTimer::Backoff);
+        let actions = collect(|a| mac.on_timer(backoff_at, ZigbeeTimer::Backoff, a));
         let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-        let actions = mac.on_cca_result(cca_at, false);
+        let actions = collect(|a| mac.on_cca_result(cca_at, false, a));
         let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-        let actions = mac.on_timer(turn_at, ZigbeeTimer::Turnaround);
+        let actions = collect(|a| mac.on_timer(turn_at, ZigbeeTimer::Turnaround, a));
         assert!(matches!(
             started_tx(&actions),
             Some(ZigbeeFrameKind::Data {
@@ -587,10 +573,11 @@ mod tests {
         let mut m = ZigbeeMac::with_defaults(1, 0);
         let tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
         let tx_end = tx_at + zigbee_frame_airtime(50);
-        let (kind, actions) = m.on_tx_end(tx_end);
+        let mut actions = Vec::new();
+        let kind = m.on_tx_end(tx_end, &mut actions);
         assert!(matches!(kind, ZigbeeFrameKind::Data { .. }));
         let _ack_deadline = timer_at(&actions, ZigbeeTimer::AckTimeout);
-        let actions = m.on_ack_received(tx_end + SimDuration::from_micros(544), 0);
+        let actions = collect(|a| m.on_ack_received(tx_end + SimDuration::from_micros(544), 0, a));
         assert_eq!(
             notifications(&actions),
             vec![ZigbeeNotification::Delivered {
@@ -601,27 +588,27 @@ mod tests {
         assert_eq!(m.queue_len(), 0);
         // IFS then idle:
         let ifs_at = timer_at(&actions, ZigbeeTimer::Ifs);
-        let _ = m.on_timer(ifs_at, ZigbeeTimer::Ifs);
+        let _ = collect(|a| m.on_timer(ifs_at, ZigbeeTimer::Ifs, a));
         assert!(m.is_idle());
     }
 
     #[test]
     fn busy_cca_backs_off_with_growing_be() {
         let mut m = ZigbeeMac::with_defaults(2, 0);
-        let actions = m.send_data(SimTime::ZERO, 0, 50);
+        let actions = collect(|a| m.send_data(SimTime::ZERO, 0, 50, a));
         let mut at = timer_at(&actions, ZigbeeTimer::Backoff);
         // First backoff must fit within (2^3 - 1) unit periods.
         assert!(at <= SimTime::ZERO + zigbee_timing::UNIT_BACKOFF * 7);
         for _ in 0..zigbee_timing::MAX_CSMA_BACKOFFS {
-            let actions = m.on_timer(at, ZigbeeTimer::Backoff);
+            let actions = collect(|a| m.on_timer(at, ZigbeeTimer::Backoff, a));
             let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-            let actions = m.on_cca_result(cca_at, true);
+            let actions = collect(|a| m.on_cca_result(cca_at, true, a));
             at = timer_at(&actions, ZigbeeTimer::Backoff);
         }
         // The (max_csma_backoffs + 1)-th busy CCA fails the frame.
-        let actions = m.on_timer(at, ZigbeeTimer::Backoff);
+        let actions = collect(|a| m.on_timer(at, ZigbeeTimer::Backoff, a));
         let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-        let actions = m.on_cca_result(cca_at, true);
+        let actions = collect(|a| m.on_cca_result(cca_at, true, a));
         assert_eq!(
             notifications(&actions),
             vec![ZigbeeNotification::Failed {
@@ -638,9 +625,9 @@ mod tests {
         let mut tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
         for attempt in 0..=zigbee_timing::MAX_FRAME_RETRIES {
             let tx_end = tx_at + zigbee_frame_airtime(50);
-            let (_, actions) = m.on_tx_end(tx_end);
+            let actions = collect(|a| m.on_tx_end(tx_end, a));
             let deadline = timer_at(&actions, ZigbeeTimer::AckTimeout);
-            let actions = m.on_timer(deadline, ZigbeeTimer::AckTimeout);
+            let actions = collect(|a| m.on_timer(deadline, ZigbeeTimer::AckTimeout, a));
             if attempt == zigbee_timing::MAX_FRAME_RETRIES {
                 assert_eq!(
                     notifications(&actions),
@@ -653,11 +640,11 @@ mod tests {
             }
             // Retransmission: full CSMA again.
             let backoff_at = timer_at(&actions, ZigbeeTimer::Backoff);
-            let actions = m.on_timer(backoff_at, ZigbeeTimer::Backoff);
+            let actions = collect(|a| m.on_timer(backoff_at, ZigbeeTimer::Backoff, a));
             let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-            let actions = m.on_cca_result(cca_at, false);
+            let actions = collect(|a| m.on_cca_result(cca_at, false, a));
             tx_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-            let actions = m.on_timer(tx_at, ZigbeeTimer::Turnaround);
+            let actions = collect(|a| m.on_timer(tx_at, ZigbeeTimer::Turnaround, a));
             assert!(started_tx(&actions).is_some());
         }
     }
@@ -667,19 +654,19 @@ mod tests {
         let mut m = ZigbeeMac::with_defaults(4, 0);
         let tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
         let tx_end = tx_at + zigbee_frame_airtime(50);
-        let (_, actions) = m.on_tx_end(tx_end);
+        let actions = collect(|a| m.on_tx_end(tx_end, a));
         let deadline = timer_at(&actions, ZigbeeTimer::AckTimeout);
         // First attempt times out:
-        let actions = m.on_timer(deadline, ZigbeeTimer::AckTimeout);
+        let actions = collect(|a| m.on_timer(deadline, ZigbeeTimer::AckTimeout, a));
         let backoff_at = timer_at(&actions, ZigbeeTimer::Backoff);
-        let actions = m.on_timer(backoff_at, ZigbeeTimer::Backoff);
+        let actions = collect(|a| m.on_timer(backoff_at, ZigbeeTimer::Backoff, a));
         let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-        let actions = m.on_cca_result(cca_at, false);
+        let actions = collect(|a| m.on_cca_result(cca_at, false, a));
         let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-        let _ = m.on_timer(turn_at, ZigbeeTimer::Turnaround);
+        let _ = collect(|a| m.on_timer(turn_at, ZigbeeTimer::Turnaround, a));
         let tx_end2 = turn_at + zigbee_frame_airtime(50);
-        let (_, _) = m.on_tx_end(tx_end2);
-        let actions = m.on_ack_received(tx_end2 + SimDuration::from_micros(500), 0);
+        m.on_tx_end(tx_end2, &mut Vec::new());
+        let actions = collect(|a| m.on_ack_received(tx_end2 + SimDuration::from_micros(500), 0, a));
         assert_eq!(
             notifications(&actions),
             vec![ZigbeeNotification::Delivered {
@@ -692,16 +679,16 @@ mod tests {
     #[test]
     fn control_packets_skip_cca_and_ack() {
         let mut m = ZigbeeMac::with_defaults(5, 0);
-        let actions = m.send_control(SimTime::ZERO, 120);
+        let actions = collect(|a| m.send_control(SimTime::ZERO, 120, a));
         // Straight to turnaround — no backoff, no CCA.
         let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
         assert_eq!(turn_at, SimTime::ZERO + zigbee_timing::TURNAROUND);
-        let actions = m.on_timer(turn_at, ZigbeeTimer::Turnaround);
+        let actions = collect(|a| m.on_timer(turn_at, ZigbeeTimer::Turnaround, a));
         assert!(matches!(
             started_tx(&actions),
             Some(ZigbeeFrameKind::Control { mpdu_bytes: 120 })
         ));
-        let (_, actions) = m.on_tx_end(turn_at + zigbee_frame_airtime(120));
+        let actions = collect(|a| m.on_tx_end(turn_at + zigbee_frame_airtime(120), a));
         assert_eq!(
             notifications(&actions),
             vec![ZigbeeNotification::ControlSent]
@@ -717,18 +704,18 @@ mod tests {
         // timers run — control still goes out first once the current CSMA
         // attempt is aborted... data already started CSMA, so let the
         // backoff lapse, CCA-busy it, and observe the control is next.
-        let actions = m.send_data(SimTime::ZERO, 0, 50);
-        let _ = m.send_control(SimTime::from_micros(10), 120);
+        let actions = collect(|a| m.send_data(SimTime::ZERO, 0, 50, a));
+        let _ = collect(|a| m.send_control(SimTime::from_micros(10), 120, a));
         let backoff_at = timer_at(&actions, ZigbeeTimer::Backoff);
-        let actions = m.on_timer(backoff_at, ZigbeeTimer::Backoff);
+        let actions = collect(|a| m.on_timer(backoff_at, ZigbeeTimer::Backoff, a));
         let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
         // Channel busy 5 times → data fails, control starts next.
-        let mut actions = m.on_cca_result(cca_at, true);
+        let mut actions = collect(|a| m.on_cca_result(cca_at, true, a));
         for _ in 0..zigbee_timing::MAX_CSMA_BACKOFFS {
             let b = timer_at(&actions, ZigbeeTimer::Backoff);
-            let a2 = m.on_timer(b, ZigbeeTimer::Backoff);
+            let a2 = collect(|a| m.on_timer(b, ZigbeeTimer::Backoff, a));
             let c = timer_at(&a2, ZigbeeTimer::Cca);
-            actions = m.on_cca_result(c, true);
+            actions = collect(|a| m.on_cca_result(c, true, a));
         }
         assert!(notifications(&actions).iter().any(|n| matches!(
             n,
@@ -739,7 +726,7 @@ mod tests {
         )));
         // Control turnaround armed:
         let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-        let actions = m.on_timer(turn_at, ZigbeeTimer::Turnaround);
+        let actions = collect(|a| m.on_timer(turn_at, ZigbeeTimer::Turnaround, a));
         assert!(matches!(
             started_tx(&actions),
             Some(ZigbeeFrameKind::Control { .. })
@@ -749,9 +736,9 @@ mod tests {
     #[test]
     fn flush_fails_queued_frames_and_cancels_timers() {
         let mut m = ZigbeeMac::with_defaults(7, 0);
-        let _ = m.send_data(SimTime::ZERO, 0, 50);
-        let _ = m.send_data(SimTime::ZERO, 1, 50);
-        let actions = m.flush(SimTime::from_micros(100));
+        let _ = collect(|a| m.send_data(SimTime::ZERO, 0, 50, a));
+        let _ = collect(|a| m.send_data(SimTime::ZERO, 1, 50, a));
+        let actions = collect(|a| m.flush(SimTime::from_micros(100), a));
         assert!(actions.contains(&ZigbeeAction::CancelTimer(ZigbeeTimer::Backoff)));
         let n = notifications(&actions);
         assert_eq!(n.len(), 2);
@@ -762,8 +749,8 @@ mod tests {
     fn mismatched_ack_is_ignored() {
         let mut m = ZigbeeMac::with_defaults(8, 0);
         let tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
-        let (_, _) = m.on_tx_end(tx_at + zigbee_frame_airtime(50));
-        let actions = m.on_ack_received(tx_at + SimDuration::from_millis(2), 99);
+        m.on_tx_end(tx_at + zigbee_frame_airtime(50), &mut Vec::new());
+        let actions = collect(|a| m.on_ack_received(tx_at + SimDuration::from_millis(2), 99, a));
         assert!(actions.is_empty());
         assert_eq!(m.queue_len(), 1, "frame must remain pending");
     }
@@ -771,31 +758,28 @@ mod tests {
     #[test]
     fn stale_timers_are_ignored() {
         let mut m = ZigbeeMac::with_defaults(9, 0);
-        assert!(m
-            .on_timer(SimTime::ZERO, ZigbeeTimer::AckTimeout)
-            .is_empty());
-        assert!(m.on_timer(SimTime::ZERO, ZigbeeTimer::Cca).is_empty());
-        assert!(m.on_cca_result(SimTime::ZERO, true).is_empty());
-        assert!(m.on_ack_received(SimTime::ZERO, 0).is_empty());
+        assert!(collect(|a| m.on_timer(SimTime::ZERO, ZigbeeTimer::AckTimeout, a)).is_empty());
+        assert!(collect(|a| m.on_timer(SimTime::ZERO, ZigbeeTimer::Cca, a)).is_empty());
+        assert!(collect(|a| m.on_cca_result(SimTime::ZERO, true, a)).is_empty());
+        assert!(collect(|a| m.on_ack_received(SimTime::ZERO, 0, a)).is_empty());
     }
 
     #[test]
     fn receiver_acks_after_turnaround() {
         let mut r = ZigbeeReceiver::new();
-        let actions = r.on_data_received(SimTime::from_millis(1), 7);
+        let actions = collect(|a| r.on_data_received(SimTime::from_millis(1), 7, a));
         let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
         assert_eq!(turn_at, SimTime::from_millis(1) + zigbee_timing::TURNAROUND);
-        let actions = r.on_timer(turn_at, ZigbeeTimer::Turnaround);
+        let actions = collect(|a| r.on_timer(turn_at, ZigbeeTimer::Turnaround, a));
         assert!(matches!(
             started_tx(&actions),
             Some(ZigbeeFrameKind::Ack { seq: 7 })
         ));
-        r.on_tx_end(turn_at + zigbee_ack_airtime());
         assert_eq!(r.frames_received(), 1);
         // Spurious timer without pending ACK:
-        assert!(r
-            .on_timer(SimTime::from_millis(9), ZigbeeTimer::Turnaround)
-            .is_empty());
+        assert!(
+            collect(|a| r.on_timer(SimTime::from_millis(9), ZigbeeTimer::Turnaround, a)).is_empty()
+        );
     }
 
     #[test]
@@ -803,7 +787,7 @@ mod tests {
         let mut m = ZigbeeMac::with_defaults(11, 0);
         let tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
         // A control request arrives mid-transmission:
-        let actions = m.send_control(tx_at + SimDuration::from_micros(100), 120);
+        let actions = collect(|a| m.send_control(tx_at + SimDuration::from_micros(100), 120, a));
         assert!(
             started_tx(&actions).is_none(),
             "cannot start while on air: {actions:?}"
@@ -812,9 +796,9 @@ mod tests {
         // ACK times out and retries are exhausted...
         let mut now = tx_at + zigbee_frame_airtime(50);
         for _ in 0..=zigbee_timing::MAX_FRAME_RETRIES {
-            let (_, actions) = m.on_tx_end(now);
+            let actions = collect(|a| m.on_tx_end(now, a));
             let deadline = timer_at(&actions, ZigbeeTimer::AckTimeout);
-            let actions = m.on_timer(deadline, ZigbeeTimer::AckTimeout);
+            let actions = collect(|a| m.on_timer(deadline, ZigbeeTimer::AckTimeout, a));
             if notifications(&actions)
                 .iter()
                 .any(|n| matches!(n, ZigbeeNotification::Failed { .. }))
@@ -822,9 +806,9 @@ mod tests {
                 // ... after which (IFS, then turnaround) the control packet
                 // finally goes out.
                 let ifs_at = timer_at(&actions, ZigbeeTimer::Ifs);
-                let actions = m.on_timer(ifs_at, ZigbeeTimer::Ifs);
+                let actions = collect(|a| m.on_timer(ifs_at, ZigbeeTimer::Ifs, a));
                 let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-                let actions = m.on_timer(turn_at, ZigbeeTimer::Turnaround);
+                let actions = collect(|a| m.on_timer(turn_at, ZigbeeTimer::Turnaround, a));
                 assert!(matches!(
                     started_tx(&actions),
                     Some(ZigbeeFrameKind::Control { .. })
@@ -832,11 +816,11 @@ mod tests {
                 return;
             }
             let backoff_at = timer_at(&actions, ZigbeeTimer::Backoff);
-            let a2 = m.on_timer(backoff_at, ZigbeeTimer::Backoff);
+            let a2 = collect(|a| m.on_timer(backoff_at, ZigbeeTimer::Backoff, a));
             let cca_at = timer_at(&a2, ZigbeeTimer::Cca);
-            let a3 = m.on_cca_result(cca_at, false);
+            let a3 = collect(|a| m.on_cca_result(cca_at, false, a));
             now = timer_at(&a3, ZigbeeTimer::Turnaround);
-            let _ = m.on_timer(now, ZigbeeTimer::Turnaround);
+            let _ = collect(|a| m.on_timer(now, ZigbeeTimer::Turnaround, a));
             now += zigbee_frame_airtime(50);
         }
         panic!("frame never exhausted its retries");
@@ -847,48 +831,56 @@ mod tests {
         let mut m = ZigbeeMac::with_defaults(12, 0);
         let tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
         let tx_end = tx_at + zigbee_frame_airtime(50);
-        let (_, _) = m.on_tx_end(tx_end);
+        m.on_tx_end(tx_end, &mut Vec::new());
         // Flush while awaiting the ACK: the queued copy fails, timers are
         // cancelled, and the machine is idle afterwards.
-        let actions = m.flush(tx_end + SimDuration::from_micros(100));
+        let actions = collect(|a| m.flush(tx_end + SimDuration::from_micros(100), a));
         assert!(actions.contains(&ZigbeeAction::CancelTimer(ZigbeeTimer::AckTimeout)));
         assert_eq!(notifications(&actions).len(), 1);
         assert!(m.is_idle());
         // A late ACK for the flushed frame is ignored.
-        assert!(m
-            .on_ack_received(tx_end + SimDuration::from_millis(1), 0)
-            .is_empty());
+        assert!(
+            collect(|a| m.on_ack_received(tx_end + SimDuration::from_millis(1), 0, a)).is_empty()
+        );
     }
 
     #[test]
     fn queue_drains_in_fifo_order_across_exchanges() {
         let mut m = ZigbeeMac::with_defaults(13, 0);
-        let _ = m.send_data(SimTime::ZERO, 0, 50);
-        let _ = m.send_data(SimTime::ZERO, 1, 50);
-        let _ = m.send_data(SimTime::ZERO, 2, 50);
+        let _ = collect(|a| m.send_data(SimTime::ZERO, 0, 50, a));
+        let _ = collect(|a| m.send_data(SimTime::ZERO, 1, 50, a));
+        let _ = collect(|a| m.send_data(SimTime::ZERO, 2, 50, a));
         let mut now = SimTime::ZERO;
         for expect_seq in 0..3u32 {
             // Walk one full successful exchange.
             // (First packet's backoff was armed by send_data; later ones by
             // the IFS expiry.)
             let actions = if expect_seq == 0 {
-                m.on_timer(now + zigbee_timing::UNIT_BACKOFF * 8, ZigbeeTimer::Backoff)
+                collect(|a| {
+                    m.on_timer(
+                        now + zigbee_timing::UNIT_BACKOFF * 8,
+                        ZigbeeTimer::Backoff,
+                        a,
+                    )
+                })
             } else {
-                m.on_timer(now, ZigbeeTimer::Backoff)
+                collect(|a| m.on_timer(now, ZigbeeTimer::Backoff, a))
             };
             let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-            let actions = m.on_cca_result(cca_at, false);
+            let actions = collect(|a| m.on_cca_result(cca_at, false, a));
             let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-            let actions = m.on_timer(turn_at, ZigbeeTimer::Turnaround);
+            let actions = collect(|a| m.on_timer(turn_at, ZigbeeTimer::Turnaround, a));
             match started_tx(&actions) {
                 Some(ZigbeeFrameKind::Data { seq, .. }) => assert_eq!(seq, expect_seq),
                 other => panic!("expected data frame, got {other:?}"),
             }
             let tx_end = turn_at + zigbee_frame_airtime(50);
-            let (_, _) = m.on_tx_end(tx_end);
-            let actions = m.on_ack_received(tx_end + SimDuration::from_micros(500), expect_seq);
+            m.on_tx_end(tx_end, &mut Vec::new());
+            let actions = collect(|a| {
+                m.on_ack_received(tx_end + SimDuration::from_micros(500), expect_seq, a)
+            });
             let ifs_at = timer_at(&actions, ZigbeeTimer::Ifs);
-            let actions = m.on_timer(ifs_at, ZigbeeTimer::Ifs);
+            let actions = collect(|a| m.on_timer(ifs_at, ZigbeeTimer::Ifs, a));
             if expect_seq < 2 {
                 now = timer_at(&actions, ZigbeeTimer::Backoff);
             }

@@ -19,6 +19,7 @@
 //! their requests.
 
 use std::collections::{HashMap, VecDeque};
+use std::mem;
 
 use rand::rngs::StdRng;
 
@@ -42,6 +43,7 @@ use bicord_phy::noise::{NoiseBurst, WIFI_NOISE_FLOOR, ZIGBEE_NOISE_FLOOR};
 use bicord_phy::reception::PrrModel;
 use bicord_phy::spectrum::{Band, WifiChannel, ZigbeeChannel};
 use bicord_phy::units::{Dbm, MilliWatt};
+use bicord_sim::event::EventHandle;
 use bicord_sim::guard::{GuardViolation, NoopGuard, SimGuard};
 use bicord_sim::obs::{EventSink, NoopSink, TraceEvent};
 use bicord_sim::{stream_rng, Engine, FaultInjector, SeedDomain, SimDuration, SimTime};
@@ -91,7 +93,7 @@ fn zb_node_of(device: DeviceId) -> Option<(usize, bool)> {
     Some((((raw - 2) / 2) as usize, raw.is_multiple_of(2)))
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerKey {
     Wifi(WifiTimer),
     Wifi2(WifiTimer),
@@ -99,6 +101,33 @@ enum TimerKey {
     ZbRx(u8, ZigbeeTimer),
     Coord(CoordinatorTimer),
     Client(u8, ClientTimer),
+}
+
+/// The timer table's layout: 4 Wi-Fi timers per station and the
+/// coordinator's one, then per ZigBee node 5 sender MAC, 5 receiver and
+/// 3 client timers.
+const SHARED_TIMER_SLOTS: usize = 9;
+const NODE_TIMER_SLOTS: usize = 13;
+
+impl TimerKey {
+    /// Timer-table length for a run with `nodes` ZigBee pairs.
+    fn table_len(nodes: usize) -> usize {
+        SHARED_TIMER_SLOTS + NODE_TIMER_SLOTS * nodes
+    }
+
+    /// This key's index in the timer table: every key of a run with
+    /// `nodes` pairs gets its own slot below `table_len(nodes)`.
+    fn slot(self) -> usize {
+        let node = |n: u8, t: usize| SHARED_TIMER_SLOTS + NODE_TIMER_SLOTS * usize::from(n) + t;
+        match self {
+            TimerKey::Wifi(t) => t as usize,
+            TimerKey::Wifi2(t) => 4 + t as usize,
+            TimerKey::Coord(t) => 8 + t as usize,
+            TimerKey::Zb(n, t) => node(n, t as usize),
+            TimerKey::ZbRx(n, t) => node(n, 5 + t as usize),
+            TimerKey::Client(n, t) => node(n, 10 + t as usize),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -231,7 +260,8 @@ pub struct CoexistenceSim<S: EventSink = NoopSink, G: SimGuard = NoopGuard> {
     wifi_sensed_busy: bool,
     wifi2_sensed_busy: bool,
 
-    timers: HashMap<TimerKey, bicord_sim::event::EventHandle>,
+    /// The armed handle of each timer, indexed by [`TimerKey::slot`].
+    timers: Vec<Option<EventHandle>>,
     noise: Vec<NoiseBurst>,
     max_noise_duration: SimDuration,
     csi_model: CsiModel,
@@ -246,12 +276,15 @@ pub struct CoexistenceSim<S: EventSink = NoopSink, G: SimGuard = NoopGuard> {
     watches: Vec<RxWatch>,
 
     /// Scratch buffers reused across hot-path calls so the steady state
-    /// allocates nothing per frame. Taken with `mem::take` while in use,
-    /// so re-entrant paths (e.g. `begin_tx` → carrier update → `begin_tx`)
-    /// simply see an empty fresh vector.
+    /// allocates nothing per frame: the state machines' handlers write
+    /// their actions into them. Taken with `mem::take` while in use, so
+    /// re-entrant paths (e.g. ZigBee actions → client notification →
+    /// ZigBee actions) simply see an empty fresh vector.
     tx_scratch: Vec<Transmission>,
     wifi_actions_scratch: Vec<WifiAction>,
     zb_actions_scratch: Vec<ZigbeeAction>,
+    client_actions_scratch: Vec<ClientAction>,
+    coord_actions_scratch: Vec<CoordinatorAction>,
 
     util: UtilizationTracker,
     delay: DelayTracker,
@@ -529,6 +562,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         });
 
         let wifi = WifiMac::new(config.wifi.rate, seed, 0);
+        let timers = vec![None; TimerKey::table_len(nodes.len())];
 
         Ok(CoexistenceSim {
             sink,
@@ -550,7 +584,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 .band(),
             wifi_sensed_busy: false,
             wifi2_sensed_busy: false,
-            timers: HashMap::new(),
+            timers,
             noise,
             max_noise_duration,
             csi_model,
@@ -563,6 +597,8 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             tx_scratch: Vec::new(),
             wifi_actions_scratch: Vec::new(),
             zb_actions_scratch: Vec::new(),
+            client_actions_scratch: Vec::new(),
+            coord_actions_scratch: Vec::new(),
             util: UtilizationTracker::new(SimTime::ZERO),
             delay: DelayTracker::new(),
             throughput: ThroughputTracker::new(SimTime::ZERO),
@@ -609,13 +645,20 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
     /// Returns [`GuardViolation::StallDetected`] when the guard's
     /// same-instant dequeue budget is exhausted.
     pub fn try_run(mut self) -> Result<RunResults, GuardViolation> {
-        // Kick the Wi-Fi sender.
+        self.run_events()?;
+        Ok(self.finalize())
+    }
+
+    /// Kicks the Wi-Fi senders, then dispatches every event before the
+    /// end of the run.
+    fn run_events(&mut self) -> Result<(), GuardViolation> {
         if self.config.wifi.enqueue_interval.is_none() {
             self.wifi
                 .set_saturated(Some((self.config.wifi.mpdu_bytes, WifiPriority::Low)));
         }
-        let start_actions = self.wifi.on_channel_idle(SimTime::ZERO);
-        self.apply_wifi_actions(SimTime::ZERO, start_actions);
+        self.wifi_step(SimTime::ZERO, WIFI_TX, |mac, out| {
+            mac.on_channel_idle(SimTime::ZERO, out)
+        });
         if let Some(w2) = self.wifi2.as_mut() {
             let bytes = self
                 .config
@@ -623,8 +666,9 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 .expect("wifi2 implies extra_wifi config")
                 .mpdu_bytes;
             w2.set_saturated(Some((bytes, WifiPriority::Low)));
-            let actions = w2.on_channel_idle(SimTime::ZERO);
-            self.apply_wifi2_actions(SimTime::ZERO, actions);
+            self.wifi_step(SimTime::ZERO, EXTRA_WIFI_TX, |mac, out| {
+                mac.on_channel_idle(SimTime::ZERO, out)
+            });
         }
 
         let end = self.end_at;
@@ -651,7 +695,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 }
             }
         }
-        Ok(self.finalize())
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -665,7 +709,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         });
         match event {
             Event::Timer(key) => {
-                self.timers.remove(&key);
+                self.timers[key.slot()] = None;
                 self.on_timer(now, key);
             }
             Event::TxEnd(tx) => self.on_tx_end(now, tx),
@@ -686,52 +730,32 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
 
     fn on_timer(&mut self, now: SimTime, key: TimerKey) {
         match key {
-            TimerKey::Wifi(t) => {
-                let actions = self.wifi.on_timer(now, t);
-                self.apply_wifi_actions(now, actions);
-            }
+            TimerKey::Wifi(t) => self.wifi_step(now, WIFI_TX, |mac, out| mac.on_timer(now, t, out)),
             TimerKey::Wifi2(t) => {
-                if let Some(w2) = self.wifi2.as_mut() {
-                    let actions = w2.on_timer(now, t);
-                    self.apply_wifi2_actions(now, actions);
-                }
+                self.wifi_step(now, EXTRA_WIFI_TX, |mac, out| mac.on_timer(now, t, out))
             }
             TimerKey::Zb(node, ZigbeeTimer::Cca) => {
                 // CCA verdict: total in-band energy at this ZigBee sender.
                 let node = node as usize;
                 let busy = self.zigbee_channel_busy(now, node);
-                let mut actions = std::mem::take(&mut self.zb_actions_scratch);
-                actions.clear();
-                self.nodes[node]
-                    .mac
-                    .on_cca_result_into(now, busy, &mut actions);
-                self.drain_zb_actions(now, node, &mut actions);
-                self.zb_actions_scratch = actions;
+                self.zb_step(now, node, |mac, out| mac.on_cca_result(now, busy, out));
             }
             TimerKey::Zb(node, t) => {
-                let node = node as usize;
-                let actions = self.nodes[node].mac.on_timer(now, t);
-                self.apply_zb_actions(now, node, actions);
+                self.zb_step(now, node as usize, |mac, out| mac.on_timer(now, t, out))
             }
             TimerKey::ZbRx(node, t) => {
-                let node = node as usize;
-                let actions = self.nodes[node].rx.on_timer(now, t);
-                self.apply_zb_rx_actions(now, node, actions);
+                self.zb_rx_step(now, node as usize, |rx, out| rx.on_timer(now, t, out))
             }
             TimerKey::Coord(t) => {
                 if let Some(coordinator) = self.coordinator.as_mut() {
-                    let actions = coordinator.on_timer_obs(now, t, &mut self.sink);
-                    self.apply_coord_actions(now, actions);
+                    coordinator.on_timer(now, t, &mut self.sink);
                 }
             }
             TimerKey::Client(node, t) => {
                 let node = node as usize;
                 match &self.config.mode {
                     Mode::Bicord => {
-                        if let Some(client) = self.nodes[node].client.as_mut() {
-                            let actions = client.on_timer(now, t);
-                            self.apply_client_actions(now, node, actions);
-                        }
+                        self.client_step(now, node, |client, out| client.on_timer(now, t, out))
                     }
                     Mode::Ecc(_) => {
                         if t == ClientTimer::NextPacket {
@@ -849,20 +873,13 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         }
 
         if payload.is_zigbee() || payload.is_wifi() || payload == Payload::Noise {
-            self.update_wifi_carrier(now);
-            self.update_wifi2_carrier(now);
+            self.update_wifi_carriers(now);
         }
         if source == WIFI_TX {
             // Every ZigBee node hears the Wi-Fi device resume: any white
             // space it believed in is over.
             for node in 0..self.nodes.len() {
-                let actions = match self.nodes[node].client.as_mut() {
-                    Some(client) => client.on_channel_busy(now),
-                    None => Vec::new(),
-                };
-                if !actions.is_empty() {
-                    self.apply_client_actions(now, node, actions);
-                }
+                self.client_step(now, node, |client, out| client.on_channel_busy(now, out));
             }
         }
         tx
@@ -943,27 +960,19 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                                 t_us: now.as_micros(),
                                 nav_us: nav.as_micros(),
                             });
-                        } else if let Some(w2) = self.wifi2.as_mut() {
-                            let actions = w2.set_nav(now, now + nav);
-                            self.apply_wifi2_actions(now, actions);
+                        } else if self.wifi2.is_some() {
+                            self.wifi_step(now, EXTRA_WIFI_TX, |mac, out| {
+                                mac.set_nav(now, now + nav, out)
+                            });
                         }
                         self.on_white_space_begin(now, nav);
                     }
                 }
                 self.medium.end_transmission(tx_id);
-                if tx.source == EXTRA_WIFI_TX {
-                    let (_, actions) = self
-                        .wifi2
-                        .as_mut()
-                        .expect("frame from wifi2 implies wifi2 exists")
-                        .on_tx_end(now);
-                    self.apply_wifi2_actions(now, actions);
-                } else {
-                    let (_, actions) = self.wifi.on_tx_end(now);
-                    self.apply_wifi_actions(now, actions);
-                }
-                self.update_wifi_carrier(now);
-                self.update_wifi2_carrier(now);
+                self.wifi_step(now, tx.source, |mac, out| {
+                    mac.on_tx_end(now, out);
+                });
+                self.update_wifi_carriers(now);
             }
             Payload::Zigbee(kind) => {
                 let (node, is_sender) =
@@ -980,8 +989,9 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                                 ZIGBEE_NOISE_FLOOR,
                             );
                             if ok {
-                                let actions = self.nodes[node].rx.on_data_received(now, seq);
-                                self.apply_zb_rx_actions(now, node, actions);
+                                self.zb_rx_step(now, node, |rx, out| {
+                                    rx.on_data_received(now, seq, out)
+                                });
                             }
                         }
                         ZigbeeFrameKind::Control { .. } => {
@@ -992,10 +1002,10 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                         }
                     }
                     self.medium.end_transmission(tx_id);
-                    let (_, actions) = self.nodes[node].mac.on_tx_end(now);
-                    self.apply_zb_actions(now, node, actions);
-                    self.update_wifi_carrier(now);
-                    self.update_wifi2_carrier(now);
+                    self.zb_step(now, node, |mac, out| {
+                        mac.on_tx_end(now, out);
+                    });
+                    self.update_wifi_carriers(now);
                 } else {
                     // A ZigBee receiver's ACK.
                     self.note_zigbee_activity(tx.start, tx.end);
@@ -1011,21 +1021,17 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                         ZIGBEE_NOISE_FLOOR,
                     );
                     self.medium.end_transmission(tx_id);
-                    self.nodes[node].rx.on_tx_end(now);
                     if ok {
-                        let actions = self.nodes[node].mac.on_ack_received(now, seq);
-                        self.apply_zb_actions(now, node, actions);
+                        self.zb_step(now, node, |mac, out| mac.on_ack_received(now, seq, out));
                     }
-                    self.update_wifi_carrier(now);
-                    self.update_wifi2_carrier(now);
+                    self.update_wifi_carriers(now);
                 }
             }
             Payload::Noise => {
                 // A Bluetooth slot (or other non-decodable interferer):
                 // occupies the medium, carries nothing.
                 self.medium.end_transmission(tx_id);
-                self.update_wifi_carrier(now);
-                self.update_wifi2_carrier(now);
+                self.update_wifi_carriers(now);
             }
         }
     }
@@ -1166,8 +1172,10 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         }
 
         if let Some(coordinator) = self.coordinator.as_mut() {
-            let actions = coordinator.on_csi_sample_obs(sample, &mut self.sink);
-            self.apply_coord_actions(now, actions);
+            let mut actions = mem::take(&mut self.coord_actions_scratch);
+            coordinator.on_csi_sample(sample, &mut self.sink, &mut actions);
+            self.drain_coord_actions(now, &mut actions);
+            self.coord_actions_scratch = actions;
         } else if let Some(detector) = self.trial_detector.as_mut() {
             if let Some(detection) = detector.push_obs(sample, &mut self.sink) {
                 let zigbee_caused = self
@@ -1189,54 +1197,35 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
     // Carrier sense
     // ------------------------------------------------------------------
 
-    /// Recomputes the Wi-Fi sender's carrier sense and notifies its MAC on
-    /// transitions (the CCA side-effect of ZigBee signaling).
-    fn update_wifi_carrier(&mut self, now: SimTime) {
-        let sensed = self
-            .medium
-            .sensed_power(WIFI_TX, &self.wifi_band, now, None);
-        let busy = sensed.to_dbm() >= self.config.wifi.ed_threshold;
-        if busy == self.wifi_sensed_busy {
-            return;
-        }
-        self.wifi_sensed_busy = busy;
-        let mut actions = std::mem::take(&mut self.wifi_actions_scratch);
-        actions.clear();
-        if busy {
-            self.wifi.on_channel_busy_into(now, &mut actions);
-        } else {
-            self.wifi.on_channel_idle_into(now, &mut actions);
-        }
-        self.drain_wifi_actions(now, &mut actions);
-        self.wifi_actions_scratch = actions;
-    }
-
-    /// Recomputes the second Wi-Fi station's carrier sense (it hears the
-    /// primary sender, ZigBee, and Bluetooth alike).
-    fn update_wifi2_carrier(&mut self, now: SimTime) {
-        if self.wifi2.is_none() {
-            return;
-        }
-        let sensed = self
-            .medium
-            .sensed_power(EXTRA_WIFI_TX, &self.wifi_band, now, None);
-        let busy = sensed.to_dbm() >= self.config.wifi.ed_threshold;
-        if busy == self.wifi2_sensed_busy {
-            return;
-        }
-        self.wifi2_sensed_busy = busy;
-        let mut actions = std::mem::take(&mut self.wifi_actions_scratch);
-        actions.clear();
-        {
-            let w2 = self.wifi2.as_mut().expect("checked above");
-            if busy {
-                w2.on_channel_busy_into(now, &mut actions);
-            } else {
-                w2.on_channel_idle_into(now, &mut actions);
+    /// Recomputes both Wi-Fi stations' carrier sense and notifies each MAC
+    /// on transitions (the CCA side-effect of ZigBee signaling). The
+    /// second station hears the primary sender, ZigBee, and Bluetooth
+    /// alike.
+    fn update_wifi_carriers(&mut self, now: SimTime) {
+        for station in [WIFI_TX, EXTRA_WIFI_TX] {
+            if station == EXTRA_WIFI_TX && self.wifi2.is_none() {
+                continue;
             }
+            let sensed = self
+                .medium
+                .sensed_power(station, &self.wifi_band, now, None);
+            let busy = sensed.to_dbm() >= self.config.wifi.ed_threshold;
+            let sensed_busy = if station == WIFI_TX {
+                &mut self.wifi_sensed_busy
+            } else {
+                &mut self.wifi2_sensed_busy
+            };
+            if mem::replace(sensed_busy, busy) == busy {
+                continue;
+            }
+            self.wifi_step(now, station, |mac, out| {
+                if busy {
+                    mac.on_channel_busy(now, out)
+                } else {
+                    mac.on_channel_idle(now, out)
+                }
+            });
         }
-        self.drain_wifi2_actions(now, &mut actions);
-        self.wifi_actions_scratch = actions;
     }
 
     /// A ZigBee sender's wideband CCA verdict (it senses Wi-Fi, noise, and
@@ -1300,16 +1289,12 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         }
         match &self.config.mode {
             Mode::Bicord => {
-                let actions = match self.nodes[node].client.as_mut() {
-                    Some(client) => {
-                        // Only client-driven bursts report BurstComplete,
-                        // so only those arm the liveness watch.
-                        self.guard.on_burst_start(now, node as u32);
-                        client.on_burst(now, n, bytes)
-                    }
-                    None => Vec::new(),
-                };
-                self.apply_client_actions(now, node, actions);
+                if self.nodes[node].client.is_some() {
+                    // Only client-driven bursts report BurstComplete, so
+                    // only those arm the liveness watch.
+                    self.guard.on_burst_start(now, node as u32);
+                }
+                self.client_step(now, node, |client, out| client.on_burst(now, n, bytes, out));
             }
             Mode::Ecc(_) => {
                 if let Some(ecc) = self.nodes[node].ecc_client.as_mut() {
@@ -1345,15 +1330,12 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             })
             .unwrap_or(WifiPriority::Low);
         self.wifi_enqueue_times.push_back(now);
-        let actions = self.wifi.enqueue(
-            now,
-            WifiFrameSpec {
-                mpdu_bytes: self.config.wifi.mpdu_bytes,
-                priority,
-                enqueued_at: now,
-            },
-        );
-        self.apply_wifi_actions(now, actions);
+        let spec = WifiFrameSpec {
+            mpdu_bytes: self.config.wifi.mpdu_bytes,
+            priority,
+            enqueued_at: now,
+        };
+        self.wifi_step(now, WIFI_TX, |mac, out| mac.enqueue(now, spec, out));
         if now + interval < self.end_at {
             self.engine.schedule_at(now + interval, Event::WifiEnqueue);
         }
@@ -1379,8 +1361,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 t_us: now.as_micros(),
                 ws_us: ws.as_micros(),
             });
-            let actions = self.wifi.reserve_channel(now, ws);
-            self.apply_wifi_actions(now, actions);
+            self.wifi_step(now, WIFI_TX, |mac, out| mac.reserve_channel(now, ws, out));
             self.ws_history.push(ws);
         }
         if now + period < self.end_at {
@@ -1401,11 +1382,9 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         if let Some(detector) = self.trial_detector.as_mut() {
             detector.reset_window();
         }
+        let bytes = self.config.client.policy.control_bytes;
         for _ in 0..control_packets {
-            let actions = self.nodes[0]
-                .mac
-                .send_control(now, self.config.client.policy.control_bytes);
-            self.apply_zb_actions(now, 0, actions);
+            self.zb_step(now, 0, |mac, out| mac.send_control(now, bytes, out));
         }
     }
 
@@ -1434,11 +1413,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                     if self.zigbee_channel_busy(now, node) {
                         continue;
                     }
-                    let actions = match self.nodes[node].client.as_mut() {
-                        Some(client) => client.on_channel_clear(now),
-                        None => Vec::new(),
-                    };
-                    self.apply_client_actions(now, node, actions);
+                    self.client_step(now, node, |client, out| client.on_channel_clear(now, out));
                 }
             }
             Mode::Ecc(_) => {
@@ -1570,8 +1545,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 if let Some(ecc) = self.nodes[node].ecc_client.as_mut() {
                     ecc.mark_in_flight(seq);
                 }
-                let actions = self.nodes[node].mac.send_data(now, seq, bytes);
-                self.apply_zb_actions(now, node, actions);
+                self.zb_step(now, node, |mac, out| mac.send_data(now, seq, bytes, out));
             }
             EccClientAction::Wait => {}
         }
@@ -1591,8 +1565,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             driver.in_flight = true;
             (seq, bytes)
         };
-        let actions = self.nodes[node].mac.send_data(now, seq, bytes);
-        self.apply_zb_actions(now, node, actions);
+        self.zb_step(now, node, |mac, out| mac.send_data(now, seq, bytes, out));
     }
 
     // ------------------------------------------------------------------
@@ -1600,32 +1573,105 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
     // ------------------------------------------------------------------
 
     fn set_timer(&mut self, key: TimerKey, at: SimTime) {
-        if let Some(handle) = self.timers.remove(&key) {
-            self.engine.cancel(handle);
-        }
-        let handle = self.engine.schedule_at(at, Event::Timer(key));
-        self.timers.insert(key, handle);
+        self.cancel_timer(key);
+        self.timers[key.slot()] = Some(self.engine.schedule_at(at, Event::Timer(key)));
     }
 
     fn cancel_timer(&mut self, key: TimerKey) {
-        if let Some(handle) = self.timers.remove(&key) {
+        if let Some(handle) = self.timers[key.slot()].take() {
             self.engine.cancel(handle);
         }
     }
 
-    fn apply_wifi_actions(&mut self, now: SimTime, mut actions: Vec<WifiAction>) {
-        self.drain_wifi_actions(now, &mut actions);
+    /// Runs one handler of the Wi-Fi station transmitting as `station`
+    /// (`WIFI_TX` or `EXTRA_WIFI_TX`) into the scratch buffer and applies
+    /// the actions it wrote.
+    fn wifi_step(
+        &mut self,
+        now: SimTime,
+        station: DeviceId,
+        f: impl FnOnce(&mut WifiMac, &mut Vec<WifiAction>),
+    ) {
+        let mac = if station == EXTRA_WIFI_TX {
+            self.wifi2
+                .as_mut()
+                .expect("EXTRA_WIFI_TX is the second station")
+        } else {
+            &mut self.wifi
+        };
+        let mut actions = mem::take(&mut self.wifi_actions_scratch);
+        f(mac, &mut actions);
+        self.drain_wifi_actions(now, station, &mut actions);
+        self.wifi_actions_scratch = actions;
+    }
+
+    /// Runs one handler of `node`'s sender MAC and applies its actions.
+    fn zb_step(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        f: impl FnOnce(&mut ZigbeeMac, &mut Vec<ZigbeeAction>),
+    ) {
+        let mut actions = mem::take(&mut self.zb_actions_scratch);
+        f(&mut self.nodes[node].mac, &mut actions);
+        self.drain_zb_actions(now, node, &mut actions);
+        self.zb_actions_scratch = actions;
+    }
+
+    /// Runs one handler of `node`'s receiver and applies its actions.
+    fn zb_rx_step(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        f: impl FnOnce(&mut ZigbeeReceiver, &mut Vec<ZigbeeAction>),
+    ) {
+        let mut actions = mem::take(&mut self.zb_actions_scratch);
+        f(&mut self.nodes[node].rx, &mut actions);
+        self.drain_zb_rx_actions(now, node, &mut actions);
+        self.zb_actions_scratch = actions;
+    }
+
+    /// Runs one handler of `node`'s BiCord client, if it has one, and
+    /// applies its actions.
+    fn client_step(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        f: impl FnOnce(&mut BicordClient, &mut Vec<ClientAction>),
+    ) {
+        let mut actions = mem::take(&mut self.client_actions_scratch);
+        if let Some(client) = self.nodes[node].client.as_mut() {
+            f(client, &mut actions);
+        }
+        self.drain_client_actions(now, node, &mut actions);
+        self.client_actions_scratch = actions;
     }
 
     /// Applies and removes every action in `actions`, leaving the (possibly
-    /// grown) buffer behind for reuse. The hot carrier-sense path feeds this
-    /// from a scratch buffer so the steady state never allocates.
-    fn drain_wifi_actions(&mut self, now: SimTime, actions: &mut Vec<WifiAction>) {
+    /// grown) buffer behind for reuse.
+    fn drain_wifi_actions(
+        &mut self,
+        now: SimTime,
+        station: DeviceId,
+        actions: &mut Vec<WifiAction>,
+    ) {
+        let second = station == EXTRA_WIFI_TX;
+        let power = match self.config.extra_wifi {
+            Some(extra) if second => extra.tx_power,
+            _ => self.config.wifi.tx_power,
+        };
+        let key = |timer| {
+            if second {
+                TimerKey::Wifi2(timer)
+            } else {
+                TimerKey::Wifi(timer)
+            }
+        };
         for action in actions.drain(..) {
             match action {
                 WifiAction::StartTx { kind, airtime } => {
                     if let WifiFrameKind::Data { priority, .. } = kind {
-                        if self.config.wifi.enqueue_interval.is_some() {
+                        if !second && self.config.wifi.enqueue_interval.is_some() {
                             if let Some(enqueued) = self.wifi_enqueue_times.pop_front() {
                                 if priority == WifiPriority::Low {
                                     self.wifi_low_delays
@@ -1635,35 +1681,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                         }
                     }
                     self.begin_tx(
-                        WIFI_TX,
-                        self.config.wifi.tx_power,
-                        self.wifi_band,
-                        now,
-                        airtime,
-                        Payload::Wifi(kind),
-                    );
-                }
-                WifiAction::SetTimer { timer, at } => self.set_timer(TimerKey::Wifi(timer), at),
-                WifiAction::CancelTimer(timer) => self.cancel_timer(TimerKey::Wifi(timer)),
-            }
-        }
-    }
-
-    fn apply_wifi2_actions(&mut self, now: SimTime, mut actions: Vec<WifiAction>) {
-        self.drain_wifi2_actions(now, &mut actions);
-    }
-
-    fn drain_wifi2_actions(&mut self, now: SimTime, actions: &mut Vec<WifiAction>) {
-        for action in actions.drain(..) {
-            match action {
-                WifiAction::StartTx { kind, airtime } => {
-                    let power = self
-                        .config
-                        .extra_wifi
-                        .expect("wifi2 implies extra_wifi config")
-                        .tx_power;
-                    self.begin_tx(
-                        EXTRA_WIFI_TX,
+                        station,
                         power,
                         self.wifi_band,
                         now,
@@ -1671,14 +1689,10 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                         Payload::Wifi(kind),
                     );
                 }
-                WifiAction::SetTimer { timer, at } => self.set_timer(TimerKey::Wifi2(timer), at),
-                WifiAction::CancelTimer(timer) => self.cancel_timer(TimerKey::Wifi2(timer)),
+                WifiAction::SetTimer { timer, at } => self.set_timer(key(timer), at),
+                WifiAction::CancelTimer(timer) => self.cancel_timer(key(timer)),
             }
         }
-    }
-
-    fn apply_zb_actions(&mut self, now: SimTime, node: usize, mut actions: Vec<ZigbeeAction>) {
-        self.drain_zb_actions(now, node, &mut actions);
     }
 
     fn drain_zb_actions(&mut self, now: SimTime, node: usize, actions: &mut Vec<ZigbeeAction>) {
@@ -1713,8 +1727,8 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         }
     }
 
-    fn apply_zb_rx_actions(&mut self, now: SimTime, node: usize, actions: Vec<ZigbeeAction>) {
-        for action in actions {
+    fn drain_zb_rx_actions(&mut self, now: SimTime, node: usize, actions: &mut Vec<ZigbeeAction>) {
+        for action in actions.drain(..) {
             match action {
                 ZigbeeAction::StartTx { kind, airtime } => {
                     let source = self.nodes[node].rx_dev;
@@ -1763,13 +1777,9 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
     ) {
         use bicord_mac::zigbee::ZigbeeNotification as N;
         match &self.config.mode {
-            Mode::Bicord => {
-                let actions = match self.nodes[node].client.as_mut() {
-                    Some(client) => client.on_mac_notification(now, notification),
-                    None => Vec::new(),
-                };
-                self.apply_client_actions(now, node, actions);
-            }
+            Mode::Bicord => self.client_step(now, node, |client, out| {
+                client.on_mac_notification(now, notification, out)
+            }),
             Mode::Ecc(_) => match notification {
                 N::Delivered { seq, .. } => {
                     let _ = self.nodes[node]
@@ -1809,11 +1819,14 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                         now + self.config.client.packet_interval,
                     );
                 }
-                N::Failed { .. } => {
+                N::Failed { seq, .. } => {
                     if let Some(driver) = self.nodes[node].unprotected.as_mut() {
                         driver.in_flight = false;
                         driver.pending.pop_front();
                     }
+                    // The packet is abandoned, so its arrival time is
+                    // never read again.
+                    self.nodes[node].arrivals.remove(&seq);
                     self.nodes[node].delay.record_abandoned();
                     self.delay.record_abandoned();
                     self.set_timer(
@@ -1834,20 +1847,18 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         }
     }
 
-    fn apply_client_actions(&mut self, now: SimTime, node: usize, actions: Vec<ClientAction>) {
-        for action in actions {
+    fn drain_client_actions(&mut self, now: SimTime, node: usize, actions: &mut Vec<ClientAction>) {
+        for action in actions.drain(..) {
             match action {
                 ClientAction::MacSendData { seq, bytes } => {
-                    let zb_actions = self.nodes[node].mac.send_data(now, seq, bytes);
-                    self.apply_zb_actions(now, node, zb_actions);
+                    self.zb_step(now, node, |mac, out| mac.send_data(now, seq, bytes, out));
                 }
                 ClientAction::MacSendControl { bytes } => {
                     self.sink.emit(&TraceEvent::ChannelRequest {
                         t_us: now.as_micros(),
                         node: node as u32,
                     });
-                    let zb_actions = self.nodes[node].mac.send_control(now, bytes);
-                    self.apply_zb_actions(now, node, zb_actions);
+                    self.zb_step(now, node, |mac, out| mac.send_control(now, bytes, out));
                 }
                 ClientAction::SetTxPower(power) => {
                     self.nodes[node].signal_power = power;
@@ -1892,11 +1903,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                         }
                     };
                     let trace = generate_trace(&mut self.trace_rng, &trace_config, TRACE_DURATION);
-                    let actions = match self.nodes[node].client.as_mut() {
-                        Some(client) => client.on_trace(now, &trace),
-                        None => Vec::new(),
-                    };
-                    self.apply_client_actions(now, node, actions);
+                    self.client_step(now, node, |client, out| client.on_trace(now, &trace, out));
                 }
                 ClientAction::SetTimer { timer, at } => {
                     self.set_timer(TimerKey::Client(node as u8, timer), at)
@@ -1934,13 +1941,12 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         }
     }
 
-    fn apply_coord_actions(&mut self, now: SimTime, actions: Vec<CoordinatorAction>) {
-        for action in actions {
+    fn drain_coord_actions(&mut self, now: SimTime, actions: &mut Vec<CoordinatorAction>) {
+        for action in actions.drain(..) {
             match action {
                 CoordinatorAction::Reserve(ws) => {
                     self.ws_history.push(ws);
-                    let wifi_actions = self.wifi.reserve_channel(now, ws);
-                    self.apply_wifi_actions(now, wifi_actions);
+                    self.wifi_step(now, WIFI_TX, |mac, out| mac.reserve_channel(now, ws, out));
                 }
                 CoordinatorAction::SetTimer { timer, at } => {
                     self.set_timer(TimerKey::Coord(timer), at)
@@ -2174,6 +2180,71 @@ mod tests {
         assert!(r.zigbee.transmissions > 0);
         let prr = r.zigbee_prr();
         assert!(prr < 0.2, "unprotected per-transmission PRR {prr} too high");
+    }
+
+    #[test]
+    fn unprotected_failures_leave_no_stale_arrivals() {
+        // Location D at -7 dBm fails most frames (see above); every failed
+        // packet is abandoned, so its arrival entry must go with it.
+        let mut config = SimConfig::unprotected(Location::D, 12);
+        config.zigbee.data_power = bicord_phy::units::Dbm::new(-7.0);
+        config.duration = SimDuration::from_secs(3);
+        let mut sim = CoexistenceSim::new(config).unwrap();
+        sim.run_events().unwrap();
+        assert!(sim.nodes[0].delay.abandoned() > 0, "no frame failed");
+        for node in &sim.nodes {
+            let driver = node.unprotected.as_ref().expect("unprotected mode");
+            let mut queued: Vec<u32> = driver.pending.iter().map(|&(seq, _)| seq).collect();
+            let mut tracked: Vec<u32> = node.arrivals.keys().copied().collect();
+            queued.sort_unstable();
+            tracked.sort_unstable();
+            assert_eq!(tracked, queued);
+        }
+        sim.finalize();
+    }
+
+    #[test]
+    fn timer_slots_are_distinct_and_in_range() {
+        use crate::config::MAX_ZIGBEE_NODES;
+
+        let wifi = [
+            WifiTimer::Difs,
+            WifiTimer::Slot,
+            WifiTimer::NavEnd,
+            WifiTimer::QuietEnd,
+        ];
+        let zigbee = [
+            ZigbeeTimer::Backoff,
+            ZigbeeTimer::Cca,
+            ZigbeeTimer::Turnaround,
+            ZigbeeTimer::AckTimeout,
+            ZigbeeTimer::Ifs,
+        ];
+        let client = [
+            ClientTimer::NextPacket,
+            ClientTimer::SignalGap,
+            ClientTimer::Retry,
+        ];
+        let mut keys: Vec<TimerKey> = wifi
+            .iter()
+            .flat_map(|&t| [TimerKey::Wifi(t), TimerKey::Wifi2(t)])
+            .chain([TimerKey::Coord(CoordinatorTimer::BurstEnd)])
+            .collect();
+        for node in 0..MAX_ZIGBEE_NODES {
+            let node = u8::try_from(node).expect("node indices fit the key");
+            keys.extend(zigbee.iter().map(|&t| TimerKey::Zb(node, t)));
+            keys.extend(zigbee.iter().map(|&t| TimerKey::ZbRx(node, t)));
+            keys.extend(client.iter().map(|&t| TimerKey::Client(node, t)));
+        }
+        let len = TimerKey::table_len(MAX_ZIGBEE_NODES);
+        assert_eq!(keys.len(), len, "every slot belongs to exactly one key");
+        let mut seen = vec![false; len];
+        for key in keys {
+            let slot = key.slot();
+            assert!(slot < len, "{key:?} -> {slot} out of range");
+            assert!(!seen[slot], "{key:?} shares slot {slot}");
+            seen[slot] = true;
+        }
     }
 
     #[test]

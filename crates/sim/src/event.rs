@@ -6,16 +6,17 @@
 //! regardless of heap internals.
 //!
 //! The queue sits on the simulation's hottest path (every frame, timer and
-//! sample passes through it), so the implementation avoids the obvious
-//! overheads: the heap key is a single packed `u128` compare instead of a
-//! two-field lexicographic compare, the live-event set hashes its dense
-//! `u64` sequence numbers with a one-multiply mixer instead of SipHash, and
-//! [`EventQueue::with_capacity`] / [`EventQueue::reserve`] let callers
-//! pre-size both structures.
+//! sample passes through it), so it does no hashing: the heap key is a
+//! single packed `u128` compare, and since sequence numbers are issued
+//! densely and in order, the set of live (not popped, not cancelled)
+//! events is a bitset indexed by sequence offset. The bitset drops its
+//! leading words as they empty, so it spans the live sequence numbers,
+//! not the whole run. Cancellation clears a bit; the cancelled entry is
+//! dropped lazily when it reaches the heap head.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BinaryHeap, VecDeque};
+use std::hash::Hasher;
 
 use crate::time::SimTime;
 
@@ -25,10 +26,10 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventHandle(u64);
 
-/// One-multiply hasher for the dense `u64` sequence numbers in the pending
-/// set. SplitMix64-style finalization: fast, and sequential keys spread
-/// across the whole output range (std's SipHash costs ~10× as much per
-/// lookup for zero benefit against non-adversarial keys).
+/// One-multiply hasher for dense integer keys (the medium's hot maps).
+/// SplitMix64-style finalization: fast, and sequential keys spread across
+/// the whole output range (std's SipHash costs ~10× as much per lookup for
+/// zero benefit against non-adversarial keys).
 #[derive(Debug, Default, Clone)]
 pub struct SeqHasher(u64);
 
@@ -56,7 +57,56 @@ impl Hasher for SeqHasher {
     }
 }
 
-type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
+/// Live sequence numbers as a bitset: bit `seq % 64` of word
+/// `seq / 64 - base`. Sequence numbers arrive in increasing order, so
+/// words are only appended; leading words are dropped once they hold no
+/// live bit.
+#[derive(Debug, Default)]
+struct LiveSet {
+    words: VecDeque<u64>,
+    /// Word index (`seq / 64`) of `words[0]`.
+    base: u64,
+    len: usize,
+}
+
+impl LiveSet {
+    /// Adds `seq`, which must exceed every sequence number added before.
+    fn insert(&mut self, seq: u64) {
+        if self.words.is_empty() {
+            self.base = seq / 64;
+        }
+        let idx = (seq / 64 - self.base) as usize;
+        if idx >= self.words.len() {
+            self.words.resize(idx + 1, 0);
+        }
+        self.words[idx] |= 1 << (seq % 64);
+        self.len += 1;
+    }
+
+    /// The word holding `seq`'s bit, if it is in range, and that bit.
+    fn word(&mut self, seq: u64) -> Option<(&mut u64, u64)> {
+        let idx = usize::try_from((seq / 64).checked_sub(self.base)?).ok()?;
+        Some((self.words.get_mut(idx)?, 1 << (seq % 64)))
+    }
+
+    fn contains(&mut self, seq: u64) -> bool {
+        self.word(seq).is_some_and(|(word, bit)| *word & bit != 0)
+    }
+
+    /// Removes `seq`; `false` if it was not live.
+    fn remove(&mut self, seq: u64) -> bool {
+        match self.word(seq) {
+            Some((word, bit)) if *word & bit != 0 => *word &= !bit,
+            _ => return false,
+        }
+        self.len -= 1;
+        while self.words.front() == Some(&0) {
+            self.words.pop_front();
+            self.base += 1;
+        }
+        true
+    }
+}
 
 struct Entry<E> {
     /// `(time << 64) | seq` — one `u128` compare orders by time with FIFO
@@ -120,7 +170,7 @@ pub struct EventQueue<E> {
     next_seq: u64,
     /// Sequence numbers of events that are scheduled and not yet popped or
     /// cancelled. Cancelled entries are dropped lazily at the heap head.
-    pending: SeqSet,
+    live: LiveSet,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -132,11 +182,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            pending: SeqSet::default(),
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue pre-sized for `capacity` pending events.
@@ -144,14 +190,13 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
-            pending: SeqSet::with_capacity_and_hasher(capacity, Default::default()),
+            live: LiveSet::default(),
         }
     }
 
     /// Pre-sizes for at least `additional` further events.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
-        self.pending.reserve(additional);
     }
 
     /// Schedules `event` at `time` and returns a cancellation handle.
@@ -162,7 +207,7 @@ impl<E> EventQueue<E> {
             key: pack(time, seq),
             event,
         });
-        self.pending.insert(seq);
+        self.live.insert(seq);
         EventHandle(seq)
     }
 
@@ -171,13 +216,13 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the event had not yet been popped or cancelled.
     /// Cancelled events are dropped lazily when they reach the queue head.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.pending.remove(&handle.0)
+        self.live.remove(handle.0)
     }
 
     /// Removes and returns the earliest live event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(entry) = self.heap.pop() {
-            if self.pending.remove(&unpack_seq(entry.key)) {
+            if self.live.remove(unpack_seq(entry.key)) {
                 return Some((unpack_time(entry.key), entry.event));
             }
         }
@@ -188,7 +233,7 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drain cancelled entries off the head so the peeked value is live.
         while let Some(entry) = self.heap.peek() {
-            if self.pending.contains(&unpack_seq(entry.key)) {
+            if self.live.contains(unpack_seq(entry.key)) {
                 return Some(unpack_time(entry.key));
             }
             self.heap.pop();
@@ -198,19 +243,19 @@ impl<E> EventQueue<E> {
 
     /// Number of live (non-cancelled, not yet popped) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live.len
     }
 
     /// `true` if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live.len == 0
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.pending.len())
+            .field("live", &self.live.len)
             .field("heap_size", &self.heap.len())
             .finish()
     }
@@ -317,7 +362,124 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::MAX, "max")));
     }
 
+    #[test]
+    fn cancel_below_the_advanced_base_is_false() {
+        let mut q = EventQueue::new();
+        let handles: Vec<_> = (0..200)
+            .map(|i| q.push(SimTime::from_micros(i), i))
+            .collect();
+        for _ in 0..130 {
+            q.pop();
+        }
+        assert!(q.live.base >= 2, "two fully popped words were dropped");
+        assert!(!q.cancel(handles[0]));
+        assert!(!q.cancel(handles[127]));
+        assert!(q.cancel(handles[130]));
+        assert_eq!(q.len(), 69);
+    }
+
+    #[test]
+    fn bitset_stays_within_the_live_sequence_span() {
+        // Steady state of a large pending backlog: each pop is followed by
+        // a push far in the future, so the live span is always 10k.
+        const PENDING: u64 = 10_000;
+        let mut q = EventQueue::with_capacity(PENDING as usize + 1);
+        for i in 0..PENDING {
+            q.push(SimTime::from_micros(i * 7), i);
+        }
+        for next in PENDING..PENDING + 50_000 {
+            let (time, _) = q.pop().expect("queue is never drained");
+            q.push(time + crate::SimDuration::from_micros(70_000), next);
+        }
+        assert_eq!(q.len(), PENDING as usize);
+        let span_words = (PENDING as usize).div_ceil(64) + 1;
+        assert!(
+            q.live.words.len() <= span_words,
+            "{} words for a {PENDING}-event span",
+            q.live.words.len()
+        );
+    }
+
+    /// One step of the model-based test below.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Pushes an event this many microseconds after the last pop, as
+        /// a simulation would, so old sequence words drain and the
+        /// bitset's base advances.
+        Push(u64),
+        /// Cancels the `n % issued`-th handle issued so far: live,
+        /// popped or already cancelled, depending on the history.
+        CancelIssued(usize),
+        /// Cancels a handle this queue never issued.
+        CancelUnissued(u64),
+        Pop,
+        PeekTime,
+        Len,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..11, 0u64..1_000_000).prop_map(|(kind, n)| match kind {
+            // Few distinct instants, so equal timestamps are common.
+            0..=3 => Op::Push(n % 8),
+            4 | 5 => Op::CancelIssued(n as usize),
+            6 => Op::CancelUnissued(n % 1_000),
+            7 | 8 => Op::Pop,
+            9 => Op::PeekTime,
+            _ => Op::Len,
+        })
+    }
+
     proptest! {
+        #[test]
+        fn matches_a_sorted_vec_model(ops in proptest::collection::vec(op(), 1..1000)) {
+            let mut q = EventQueue::new();
+            // Live `(time, seq)` pairs; the minimum pops next.
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            let mut issued: Vec<EventHandle> = Vec::new();
+            let mut now = 0;
+            for op in ops {
+                match op {
+                    Op::Push(delay) => {
+                        let t = now + delay;
+                        let h = q.push(SimTime::from_micros(t), issued.len() as u64);
+                        model.push((t, h.0));
+                        issued.push(h);
+                    }
+                    Op::CancelIssued(n) => {
+                        if issued.is_empty() {
+                            continue;
+                        }
+                        let h = issued[n % issued.len()];
+                        let pos = model.iter().position(|&(_, seq)| seq == h.0);
+                        if let Some(pos) = pos {
+                            model.remove(pos);
+                        }
+                        prop_assert_eq!(q.cancel(h), pos.is_some());
+                    }
+                    Op::CancelUnissued(n) => {
+                        prop_assert!(!q.cancel(EventHandle(issued.len() as u64 + n)));
+                    }
+                    Op::Pop => {
+                        model.sort_unstable();
+                        let expected = (!model.is_empty()).then(|| model.remove(0));
+                        now = expected.map_or(now, |(t, _)| t);
+                        prop_assert_eq!(
+                            q.pop(),
+                            expected.map(|(t, seq)| (SimTime::from_micros(t), seq))
+                        );
+                    }
+                    Op::PeekTime => {
+                        let expected = model.iter().min().map(|&(t, _)| SimTime::from_micros(t));
+                        prop_assert_eq!(q.peek_time(), expected);
+                    }
+                    Op::Len => {
+                        prop_assert_eq!(q.len(), model.len());
+                        prop_assert_eq!(q.is_empty(), model.is_empty());
+                    }
+                }
+            }
+        }
+
         #[test]
         fn pop_order_is_sorted_and_stable(times in proptest::collection::vec(0u64..1000, 1..200)) {
             let mut q = EventQueue::new();
