@@ -29,6 +29,7 @@
 use std::fmt::Write as _;
 
 use bicord_metrics::table::{fmt1, TextTable};
+use bicord_sim::json::{self, Json};
 
 /// Default regression threshold for the latency rules, percent.
 pub const DEFAULT_THRESHOLD_PCT: f64 = 25.0;
@@ -48,8 +49,8 @@ pub struct BenchEntry {
     pub quick: bool,
     /// `"K/N"` for shard-tagged records, `None` for unsharded ones.
     pub shard: Option<String>,
-    /// The raw single-line record, for `--bless` passthrough.
-    pub line: String,
+    /// The whole record, for `--bless` passthrough.
+    pub record: Json,
     /// The flat metrics map (non-finite values dropped).
     pub metrics: Vec<(String, f64)>,
 }
@@ -73,77 +74,56 @@ impl BenchEntry {
         }
         label
     }
-}
 
-/// Extracts the string value of `"key": "…"` from a record line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\": \"");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extracts the boolean value of `"key": true|false` from a record line.
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let marker = format!("\"{key}\": ");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Parses the flat `"metrics": {…}` map at the end of a record line.
-/// Entries with non-finite (`null`) values are skipped.
-fn parse_metrics(line: &str) -> Vec<(String, f64)> {
-    let Some(start) = line.find("\"metrics\": {") else {
-        return Vec::new();
-    };
-    let body = &line[start + "\"metrics\": {".len()..];
-    // First `}` closes the metrics map (values are plain numbers or
-    // `null`); the record's own closing brace follows it.
-    let Some(end) = body.find('}') else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for pair in body[..end].split(", \"") {
-        let pair = pair.trim_start_matches('"');
-        let Some((name, value)) = pair.split_once("\": ") else {
-            continue;
+    /// Reads one record object. `null` metrics (non-finite values at
+    /// record time) are dropped.
+    fn from_json(record: &Json) -> Result<BenchEntry, String> {
+        let experiment = record
+            .get("experiment")
+            .and_then(Json::as_str)
+            .ok_or("record lacks an \"experiment\" string")?;
+        let quick = match record.get("quick") {
+            None => false,
+            Some(v) => v.as_bool().ok_or("\"quick\" is not a boolean")?,
         };
-        if let Ok(v) = value.trim().parse::<f64>() {
-            out.push((name.to_string(), v));
-        }
+        let shard = match record.get("shard") {
+            None => None,
+            Some(v) => Some(v.as_str().ok_or("\"shard\" is not a string")?.to_string()),
+        };
+        let metrics = match record.get("metrics") {
+            None => &[][..],
+            Some(v) => v.as_object().ok_or("\"metrics\" is not an object")?,
+        };
+        let metrics = metrics
+            .iter()
+            .filter(|(_, v)| *v != Json::Null)
+            .map(|(name, v)| match v.as_f64() {
+                Some(x) => Ok((name.clone(), x)),
+                None => Err(format!("metric \"{name}\" is not a number")),
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(BenchEntry {
+            experiment: experiment.to_string(),
+            quick,
+            shard,
+            record: record.clone(),
+            metrics,
+        })
     }
-    out
 }
 
-/// Parses every record line of a results file (the format
-/// `PerfRecorder::merge_record` writes: one JSON object per line inside a
-/// `[` … `]` array).
-pub fn parse_bench_file(text: &str) -> Vec<BenchEntry> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') {
-            continue;
-        }
-        let Some(experiment) = field_str(line, "experiment") else {
-            continue;
-        };
-        out.push(BenchEntry {
-            experiment,
-            quick: field_bool(line, "quick").unwrap_or(false),
-            shard: field_str(line, "shard"),
-            line: line.to_string(),
-            metrics: parse_metrics(line),
-        });
-    }
-    out
+/// Parses a results file (the format `PerfRecorder::merge_record`
+/// writes: a JSON array of record objects, one per line). Any element
+/// that is not a well-formed record fails the whole file, so a truncated
+/// or corrupt file can never pass a budget gate by losing entries.
+pub fn parse_bench_file(text: &str) -> Result<Vec<BenchEntry>, String> {
+    json::parse(text)?
+        .as_array()
+        .ok_or("a results file must be a JSON array of records")?
+        .iter()
+        .enumerate()
+        .map(|(i, record)| BenchEntry::from_json(record).map_err(|e| format!("entry {i}: {e}")))
+        .collect()
 }
 
 /// The check a [`BudgetRule`] applies.
@@ -249,53 +229,54 @@ pub fn default_rules(threshold_pct: f64) -> Vec<BudgetRule> {
     ]
 }
 
-/// Parses a JSON rules file: an array of flat objects with string fields
+/// Parses a JSON rules file: an array of objects with string fields
 /// `experiment`, `metric`, optional `exclude`, `rule` (one of
 /// `max_regression_pct` / `max_drop_pct` / `max_value`) and a numeric
 /// `limit`. See `docs/ANALYTICS.md` for examples.
 pub fn parse_rules(text: &str) -> Result<Vec<BudgetRule>, String> {
-    let mut rules = Vec::new();
-    let mut rest = text;
-    while let Some(start) = rest.find('{') {
-        let end = rest[start..].find('}').ok_or("unterminated rule object")? + start;
-        let body = &rest[start + 1..end];
-        rest = &rest[end + 1..];
-        let field = |name: &str| -> Option<String> {
-            let marker = format!("\"{name}\"");
-            let at = body.find(&marker)? + marker.len();
-            let after = body[at..].trim_start().strip_prefix(':')?.trim_start();
-            if let Some(stripped) = after.strip_prefix('"') {
-                Some(stripped[..stripped.find('"')?].to_string())
-            } else {
-                let value: String = after
-                    .chars()
-                    .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == '+')
-                    .collect();
-                (!value.is_empty()).then_some(value)
-            }
-        };
-        let kind_name = field("rule").ok_or("rule object lacks a \"rule\" field")?;
-        let kind = RuleKind::parse(&kind_name).ok_or_else(|| {
-            format!(
-                "unknown rule kind \"{kind_name}\" (valid: max_regression_pct, \
-                 max_drop_pct, max_value)"
-            )
-        })?;
-        let limit = field("limit")
-            .and_then(|v| v.parse().ok())
-            .ok_or("rule object lacks a numeric \"limit\" field")?;
-        rules.push(BudgetRule {
-            experiment: field("experiment").unwrap_or_default(),
-            metric: field("metric").unwrap_or_default(),
-            exclude: field("exclude").unwrap_or_default(),
-            kind,
-            limit,
-        });
-    }
-    if rules.is_empty() {
+    let doc = json::parse(text)?;
+    let objects = doc
+        .as_array()
+        .ok_or("a rules file must be a JSON array of rule objects")?;
+    if objects.is_empty() {
         return Err("rules file holds no rule objects".to_string());
     }
-    Ok(rules)
+    objects
+        .iter()
+        .enumerate()
+        .map(|(i, rule)| parse_rule(rule).map_err(|e| format!("rule {i}: {e}")))
+        .collect()
+}
+
+fn parse_rule(rule: &Json) -> Result<BudgetRule, String> {
+    let text = |name: &str| match rule.get(name) {
+        None => Ok(String::new()),
+        Some(v) => v
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| format!("\"{name}\" is not a string")),
+    };
+    let kind_name = rule
+        .get("rule")
+        .and_then(Json::as_str)
+        .ok_or("rule object lacks a \"rule\" string")?;
+    let kind = RuleKind::parse(kind_name).ok_or_else(|| {
+        format!(
+            "unknown rule kind {} (valid: max_regression_pct, max_drop_pct, max_value)",
+            json::escape(kind_name)
+        )
+    })?;
+    let limit = rule
+        .get("limit")
+        .and_then(Json::as_f64)
+        .ok_or("rule object lacks a numeric \"limit\" field")?;
+    Ok(BudgetRule {
+        experiment: text("experiment")?,
+        metric: text("metric")?,
+        exclude: text("exclude")?,
+        kind,
+        limit,
+    })
 }
 
 /// The verdict for one gated metric.
@@ -577,7 +558,7 @@ mod tests {
          \"metrics\": {\"mean_aggregate_pdr\": 0.92, \"quarantined_cells\": 0}}";
 
     fn file(lines: &[&str]) -> Vec<BenchEntry> {
-        parse_bench_file(&format!("[\n{}\n]\n", lines.join(",\n")))
+        parse_bench_file(&format!("[\n{}\n]\n", lines.join(",\n"))).unwrap()
     }
 
     #[test]
@@ -598,6 +579,22 @@ mod tests {
                 ("sensed_flatness".to_string(), 1.74),
             ]
         );
+    }
+
+    #[test]
+    fn malformed_files_are_errors_not_fewer_entries() {
+        let whole = format!("[\n{LINE},\n{SHARDED}\n]\n");
+        assert_eq!(parse_bench_file(&whole).unwrap().len(), 2);
+        // Cut anywhere inside the array: the file no longer parses.
+        for cut in [whole.len() - 3, whole.len() / 2, 1] {
+            assert!(parse_bench_file(&whole[..cut]).is_err(), "cut at {cut}");
+        }
+        assert!(parse_bench_file("{}").unwrap_err().contains("JSON array"));
+        let no_name = parse_bench_file("[{\"quick\": true}]").unwrap_err();
+        assert!(no_name.contains("entry 0") && no_name.contains("experiment"));
+        let bad_metric = LINE.replace("236.2", "\"fast\"");
+        let err = parse_bench_file(&format!("[{bad_metric}]")).unwrap_err();
+        assert!(err.contains("sensed_ns_100"), "{err}");
     }
 
     #[test]
@@ -741,6 +738,12 @@ mod tests {
         assert!(parse_rules("[]").is_err());
         assert!(parse_rules("[{\"rule\": \"warp\", \"limit\": 1}]").is_err());
         assert!(parse_rules("[{\"metric\": \"x\"}]").is_err());
+        // The file must be one valid JSON array: a stray object, a
+        // truncated array or a non-string filter is an error.
+        assert!(parse_rules("{\"rule\": \"max_value\", \"limit\": 1}").is_err());
+        assert!(parse_rules("[{\"rule\": \"max_value\", \"limit\": 1}").is_err());
+        let err = parse_rules("[{\"metric\": 5, \"rule\": \"max_value\", \"limit\": 1}]");
+        assert!(err.unwrap_err().contains("rule 0: \"metric\""));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 
 use crate::bench::{
-    blessable, default_rules, evaluate, parse_bench_file, parse_rules, BudgetRule,
+    blessable, default_rules, evaluate, parse_bench_file, parse_rules, BenchEntry, BudgetRule,
     DEFAULT_THRESHOLD_PCT,
 };
 use crate::diff::diff_traces;
@@ -272,10 +272,7 @@ fn execute(command: &Command) -> Result<i32, String> {
             bless,
         } => {
             let rules = load_rules(rules.as_deref(), *threshold_pct)?;
-            let current_entries = parse_bench_file(
-                &std::fs::read_to_string(current)
-                    .map_err(|e| format!("{}: {e}", current.display()))?,
-            );
+            let current_entries = read_bench_file(current)?;
             if *bless {
                 let kept = blessable(&current_entries, &rules);
                 if kept.is_empty() {
@@ -284,7 +281,7 @@ fn execute(command: &Command) -> Result<i32, String> {
                         current.display()
                     ));
                 }
-                let lines: Vec<&str> = kept.iter().map(|e| e.line.as_str()).collect();
+                let lines: Vec<String> = kept.iter().map(|e| e.record.to_string()).collect();
                 std::fs::write(baseline, format!("[\n{}\n]\n", lines.join(",\n")))
                     .map_err(|e| format!("{}: {e}", baseline.display()))?;
                 eprintln!(
@@ -294,10 +291,7 @@ fn execute(command: &Command) -> Result<i32, String> {
                 );
                 return Ok(0);
             }
-            let baseline_entries = parse_bench_file(
-                &std::fs::read_to_string(baseline)
-                    .map_err(|e| format!("{}: {e}", baseline.display()))?,
-            );
+            let baseline_entries = read_bench_file(baseline)?;
             let report = evaluate(&baseline_entries, &current_entries, &rules, *threshold_pct);
             if report.rows.is_empty() {
                 return Err(format!(
@@ -315,6 +309,13 @@ fn execute(command: &Command) -> Result<i32, String> {
             Ok(if report.breaches().is_empty() { 0 } else { 1 })
         }
     }
+}
+
+fn read_bench_file(path: &std::path::Path) -> Result<Vec<BenchEntry>, String> {
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| parse_bench_file(&text))
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn load_rules(

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use bicord_metrics::table::TextTable;
+use bicord_sim::json;
 
 use crate::trace::{Record, TraceFile};
 
@@ -132,7 +133,12 @@ impl TraceDiff {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{field}\":{{\"a\":\"{a}\",\"b\":\"{b}\"}}");
+            let _ = write!(
+                out,
+                "\"{field}\":{{\"a\":{},\"b\":{}}}",
+                json::escape(a),
+                json::escape(b)
+            );
         }
         out.push_str("},\"populations\":[");
         for (i, row) in self.rows.iter().enumerate() {
@@ -153,7 +159,11 @@ impl TraceDiff {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"kind\":\"{kind}\",\"a\":{a},\"b\":{b}}}");
+            let _ = write!(
+                out,
+                "{{\"kind\":{},\"a\":{a},\"b\":{b}}}",
+                json::escape(kind)
+            );
         }
         out.push_str("]}");
         out

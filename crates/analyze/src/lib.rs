@@ -17,11 +17,13 @@
 //!   this is the CI `perf-budget` gate and the engine behind
 //!   `scripts/bench_compare.sh`.
 //!
-//! Parsing is closed-world ([`trace::KNOWN_KINDS`]): a record kind the
-//! analyzer does not know is a hard error naming the kind, so the
-//! analytics can never silently rot as the trace schema grows. The
-//! exhaustive round-trip test in `tests/record_kinds.rs` enforces the
-//! same property at compile time against `bicord_sim::obs::TraceEvent`.
+//! Parsing is closed-world (`bicord_sim::obs::TraceEvent::KINDS`): a
+//! record kind the analyzer does not know is a hard error naming the
+//! kind, so the analytics can never silently rot as the trace schema
+//! grows. The exhaustive round-trip test in `tests/record_kinds.rs`
+//! enforces the same property at compile time against
+//! `bicord_sim::obs::TraceEvent`. Every file is read with the workspace
+//! codec, `bicord_sim::json`.
 //!
 //! Everything here is a pure function of its input files — no simulation
 //! runs, no clocks, no randomness — so reports are byte-deterministic.

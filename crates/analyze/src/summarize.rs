@@ -11,7 +11,9 @@ use std::fmt::Write as _;
 
 use bicord_metrics::table::TextTable;
 
-use crate::trace::{Record, TraceFile, Value};
+use bicord_sim::json::{self, Json};
+
+use crate::trace::{Record, TraceFile};
 
 /// The record kinds counted by the fault/fallback/guard section, in
 /// report order.
@@ -323,8 +325,8 @@ impl Analytics {
         let h = &trace.header;
         let _ = write!(
             out,
-            ",\"mode\":\"{}\",\"seed\":{},\"span_us\":{},\"records\":{}",
-            h.mode,
+            ",\"mode\":{},\"seed\":{},\"span_us\":{},\"records\":{}",
+            json::escape(&h.mode),
             h.seed,
             self.span_us,
             trace.records.len()
@@ -386,8 +388,9 @@ impl Analytics {
         if let Some(last) = c.estimates.last() {
             let _ = write!(
                 out,
-                ",\"final_estimate_us\":{},\"final_phase\":\"{}\"",
-                last.1, last.3
+                ",\"final_estimate_us\":{},\"final_phase\":{}",
+                last.1,
+                json::escape(&last.3)
             );
         }
         out.push_str(",\"re_estimates\":{");
@@ -395,7 +398,7 @@ impl Analytics {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{reason}\":{n}");
+            let _ = write!(out, "{}:{n}", json::escape(reason));
         }
         out.push_str("}},\"faults\":{");
         for (i, (kind, n)) in self.faults.iter().enumerate() {
@@ -438,8 +441,8 @@ fn node_bursts(trace: &TraceFile) -> (Vec<NodeBursts>, Vec<u64>) {
             let acc = nodes.entry(node).or_default();
             let start = acc.open_since.take().unwrap_or(r.t_us);
             acc.spans.push(r.t_us - start);
-            acc.delivered += r.field("delivered").and_then(Value::as_u64).unwrap_or(0);
-            acc.failed += r.field("failed").and_then(Value::as_u64).unwrap_or(0);
+            acc.delivered += r.field("delivered").and_then(Json::as_u64).unwrap_or(0);
+            acc.failed += r.field("failed").and_then(Json::as_u64).unwrap_or(0);
         } else if BURST_OPENERS.contains(&r.kind.as_str()) {
             let acc = nodes.entry(node).or_default();
             acc.open_since.get_or_insert(r.t_us);
@@ -512,7 +515,7 @@ fn utilization(trace: &TraceFile, span_us: u64, bins: usize) -> Utilization {
     let mut white_spaces = 0usize;
     let mut reserved_us = 0u64;
     for r in trace.of_kind("white_space") {
-        let nav = r.field("nav_us").and_then(Value::as_u64).unwrap_or(0);
+        let nav = r.field("nav_us").and_then(Json::as_u64).unwrap_or(0);
         white_spaces += 1;
         reserved_us += nav;
         // Spread [t, t+nav) across the bins it overlaps. Clamp the end
@@ -547,10 +550,10 @@ fn convergence(trace: &TraceFile) -> Convergence {
     for r in trace.of_kind("estimate") {
         c.estimates.push((
             r.t_us,
-            r.field("estimate_us").and_then(Value::as_u64).unwrap_or(0),
-            r.field("rounds").and_then(Value::as_u64).unwrap_or(0),
+            r.field("estimate_us").and_then(Json::as_u64).unwrap_or(0),
+            r.field("rounds").and_then(Json::as_u64).unwrap_or(0),
             r.field("phase")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .unwrap_or("?")
                 .to_string(),
         ));
@@ -559,12 +562,12 @@ fn convergence(trace: &TraceFile) -> Convergence {
         c.n_rounds += 1;
         c.max_rounds = c
             .max_rounds
-            .max(r.field("rounds").and_then(Value::as_u64).unwrap_or(0));
+            .max(r.field("rounds").and_then(Json::as_u64).unwrap_or(0));
     }
     for r in trace.of_kind("re_estimate") {
         let reason = r
             .field("reason")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .unwrap_or("?")
             .to_string();
         match c.re_estimates.iter_mut().find(|(r, _)| *r == reason) {

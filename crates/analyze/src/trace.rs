@@ -1,118 +1,48 @@
 //! Parser for `bicord-trace/1` JSONL timelines.
 //!
 //! A trace file (written by `JsonlSink`, see `docs/OBSERVABILITY.md`) is
-//! one [`TraceHeader`] line, zero or more flat single-line event records,
+//! one [`TraceHeader`] line, zero or more single-line event records,
 //! and a `{"summary":true,...}` trailer. This module reads the whole file
-//! into a [`TraceFile`]: every record becomes a [`Record`] whose fields
-//! keep their JSON names and primitive values, so the analytics layer
-//! never re-parses text.
+//! into a [`TraceFile`]: every line goes through the workspace codec
+//! ([`bicord_sim::json`]) and every record becomes a [`Record`] whose
+//! fields keep their JSON names and values, so the analytics layer never
+//! re-parses text.
 //!
 //! Parsing is **closed-world**: every `ev` kind must be listed in
-//! [`KNOWN_KINDS`]. An unknown kind is a hard [`TraceError::UnknownKind`]
-//! naming the offender — when a new `TraceEvent` variant is added to the
-//! sinks, the analyzer (this list, the summarizer's section routing, and
-//! the exhaustive round-trip test in `tests/record_kinds.rs`) must learn
-//! it in the same change, instead of silently dropping records.
+//! [`TraceEvent::KINDS`]. An unknown kind is a hard
+//! [`TraceError::UnknownKind`] naming the offender — when a new
+//! `TraceEvent` variant is added to the sinks, the analyzer (the
+//! summarizer's section routing and the exhaustive round-trip test in
+//! `tests/record_kinds.rs`) must learn it in the same change, instead of
+//! silently dropping records.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-use bicord_sim::obs::TraceHeader;
-
-/// Every record kind the `bicord-trace/1` sinks emit, in taxonomy order
-/// (the table in `docs/OBSERVABILITY.md`). The exhaustive round-trip test
-/// (`tests/record_kinds.rs`) fails with the kind's name if the emitters
-/// and this list ever diverge.
-pub const KNOWN_KINDS: &[&str] = &[
-    "dequeue",
-    "csi_classified",
-    "detection",
-    "channel_request",
-    "reservation",
-    "white_space",
-    "n_round",
-    "estimate",
-    "re_estimate",
-    "burst_complete",
-    "packet_delivered",
-    "trial_resolved",
-    "medium_cache_invalidated",
-    "medium_cache_stats",
-    "medium_grid_stats",
-    "fault_control_lost",
-    "fault_cts_lost",
-    "fault_phantom_csi",
-    "fault_churn",
-    "signaling_backoff",
-    "csma_fallback",
-    "learning_abort",
-    "guard_stall",
-    "guard_liveness",
-    "guard_conservation",
-];
-
-/// One primitive field value of a trace record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A non-negative integer (`t_us`, counters, node indices).
-    U64(u64),
-    /// A float (`deviation`).
-    F64(f64),
-    /// `true` / `false` (`high`, `detected`).
-    Bool(bool),
-    /// A bare string (`phase`, `reason`, `invariant`, dequeue `kind`).
-    Str(String),
-}
-
-impl Value {
-    /// The value as `u64`, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Re-serializes the value exactly as the sink wrote it.
-    pub fn to_json(&self) -> String {
-        match self {
-            Value::U64(v) => v.to_string(),
-            Value::F64(v) => v.to_string(),
-            Value::Bool(v) => v.to_string(),
-            Value::Str(s) => format!("\"{s}\""),
-        }
-    }
-}
+use bicord_sim::json::{self, Json};
+use bicord_sim::obs::{TraceEvent, TraceHeader};
 
 /// One parsed event record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Virtual timestamp in microseconds.
     pub t_us: u64,
-    /// The `ev` kind label (guaranteed to be in [`KNOWN_KINDS`]).
+    /// The `ev` kind label (guaranteed to be in [`TraceEvent::KINDS`]).
     pub kind: String,
     /// The record's extra fields, in file order, excluding `t_us`/`ev`.
-    pub fields: Vec<(String, Value)>,
+    pub fields: Vec<(String, Json)>,
 }
 
 impl Record {
     /// Looks up a field by name.
-    pub fn field(&self, name: &str) -> Option<&Value> {
+    pub fn field(&self, name: &str) -> Option<&Json> {
         self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
     /// The `node` field, when the record is node-attributed.
     pub fn node(&self) -> Option<u64> {
-        self.field("node").and_then(Value::as_u64)
+        self.field("node").and_then(Json::as_u64)
     }
 }
 
@@ -143,7 +73,7 @@ pub enum TraceError {
     Io(std::io::Error),
     /// Line 1 is not a `bicord-trace/1` header.
     BadHeader,
-    /// A record line is not flat single-line JSON of the expected shape.
+    /// A record line is not a JSON object of the expected shape.
     BadRecord {
         /// 1-based line number.
         line: usize,
@@ -174,9 +104,11 @@ impl fmt::Display for TraceError {
             }
             TraceError::UnknownKind { line, kind } => write!(
                 f,
-                "line {line}: unknown record kind \"{kind}\" — the trace schema grew a \
-                 kind bicord_analyze does not consume yet; add it to \
-                 bicord_analyze::trace::KNOWN_KINDS and route it in the summarizer"
+                "line {line}: unknown record kind {} — not in \
+                 bicord_sim::obs::TraceEvent::KINDS; a trace from another schema \
+                 revision, or a new kind that KINDS and the summarizer routing \
+                 have not learned yet",
+                json::escape(kind)
             ),
         }
     }
@@ -212,11 +144,19 @@ impl TraceFile {
             if line.is_empty() {
                 continue;
             }
-            if line.contains("\"summary\":true") {
-                summary = Some(parse_summary(line, line_no)?);
+            let bad = |reason: String| TraceError::BadRecord {
+                line: line_no,
+                reason,
+            };
+            let doc = json::parse(line).map_err(bad)?;
+            if doc.get("summary") == Some(&Json::Bool(true)) {
+                summary = Some(parse_summary(&doc).map_err(|r| bad(r.to_string()))?);
                 continue;
             }
-            records.push(parse_record(line, line_no)?);
+            let Json::Obj(fields) = doc else {
+                return Err(bad("not a JSON object".to_string()));
+            };
+            records.push(parse_record(fields, line_no)?);
         }
         Ok(TraceFile {
             header,
@@ -225,10 +165,10 @@ impl TraceFile {
         })
     }
 
-    /// Per-kind record counts, in [`KNOWN_KINDS`] order (kinds absent
-    /// from the trace are omitted).
+    /// Per-kind record counts, in [`TraceEvent::KINDS`] order (kinds
+    /// absent from the trace are omitted).
     pub fn populations(&self) -> Vec<(&'static str, usize)> {
-        KNOWN_KINDS
+        TraceEvent::KINDS
             .iter()
             .filter_map(|kind| {
                 let n = self.records.iter().filter(|r| r.kind == *kind).count();
@@ -243,68 +183,23 @@ impl TraceFile {
     }
 }
 
-/// Splits a flat single-line JSON object (`{"a":1,"b":"x"}`) into
-/// `(name, raw-value)` pairs. The sinks never emit nested objects,
-/// arrays (other than the summary's `dequeues` map, handled separately),
-/// escapes, or whitespace, so a linear scan suffices.
-fn split_flat_object(line: &str) -> Option<Vec<(&str, &str)>> {
-    let body = line.strip_prefix('{')?.strip_suffix('}')?;
-    let mut out = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let name_end = rest.find('"')?;
-        let name = &rest[..name_end];
-        rest = rest[name_end + 1..].strip_prefix(':')?;
-        let value_end = if let Some(quoted) = rest.strip_prefix('"') {
-            quoted.find('"')? + 2
-        } else {
-            rest.find(',').unwrap_or(rest.len())
-        };
-        out.push((name, &rest[..value_end]));
-        rest = &rest[value_end..];
-        rest = rest.strip_prefix(',').unwrap_or(rest);
-    }
-    Some(out)
-}
-
-/// Parses one raw JSON value the sinks can emit.
-fn parse_value(raw: &str) -> Option<Value> {
-    if let Some(stripped) = raw.strip_prefix('"') {
-        return Some(Value::Str(stripped.strip_suffix('"')?.to_string()));
-    }
-    match raw {
-        "true" => return Some(Value::Bool(true)),
-        "false" => return Some(Value::Bool(false)),
-        _ => {}
-    }
-    if let Ok(v) = raw.parse::<u64>() {
-        return Some(Value::U64(v));
-    }
-    raw.parse::<f64>().ok().map(Value::F64)
-}
-
-fn parse_record(line: &str, line_no: usize) -> Result<Record, TraceError> {
+fn parse_record(mut fields: Vec<(String, Json)>, line_no: usize) -> Result<Record, TraceError> {
+    let mut take = |name: &str| {
+        let at = fields.iter().position(|(n, _)| n == name)?;
+        Some(fields.remove(at).1)
+    };
     let bad = |reason: &str| TraceError::BadRecord {
         line: line_no,
         reason: reason.to_string(),
     };
-    let pairs = split_flat_object(line).ok_or_else(|| bad("not a flat JSON object"))?;
-    let mut t_us = None;
-    let mut kind = None;
-    let mut fields = Vec::new();
-    for (name, raw) in pairs {
-        let value = parse_value(raw)
-            .ok_or_else(|| bad(&format!("field \"{name}\" has unparseable value {raw}")))?;
-        match name {
-            "t_us" => t_us = value.as_u64(),
-            "ev" => kind = value.as_str().map(str::to_string),
-            _ => fields.push((name.to_string(), value)),
-        }
-    }
-    let t_us = t_us.ok_or_else(|| bad("missing integer \"t_us\""))?;
-    let kind = kind.ok_or_else(|| bad("missing string \"ev\""))?;
-    if !KNOWN_KINDS.contains(&kind.as_str()) {
+    let t_us = take("t_us")
+        .and_then(|v| v.as_u64())
+        .ok_or_else(|| bad("missing integer \"t_us\""))?;
+    let kind = match take("ev") {
+        Some(Json::Str(kind)) => kind,
+        _ => return Err(bad("missing string \"ev\"")),
+    };
+    if !TraceEvent::KINDS.contains(&kind.as_str()) {
         return Err(TraceError::UnknownKind {
             line: line_no,
             kind,
@@ -313,36 +208,21 @@ fn parse_record(line: &str, line_no: usize) -> Result<Record, TraceError> {
     Ok(Record { t_us, kind, fields })
 }
 
-fn parse_summary(line: &str, line_no: usize) -> Result<TraceSummary, TraceError> {
-    let bad = |reason: &str| TraceError::BadRecord {
-        line: line_no,
-        reason: reason.to_string(),
+fn parse_summary(doc: &Json) -> Result<TraceSummary, &'static str> {
+    let events = match doc.get("events") {
+        None => 0,
+        Some(v) => v.as_u64().ok_or("bad \"events\" count")?,
     };
-    let mut summary = TraceSummary::default();
-    let events_marker = "\"events\":";
-    if let Some(start) = line.find(events_marker) {
-        let digits: String = line[start + events_marker.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        summary.events = digits.parse().map_err(|_| bad("bad \"events\" count"))?;
-    }
-    let dequeues_marker = "\"dequeues\":{";
-    if let Some(start) = line.find(dequeues_marker) {
-        let body = &line[start + dequeues_marker.len()..];
-        let end = body
-            .find('}')
-            .ok_or_else(|| bad("unterminated dequeues map"))?;
-        for pair in body[..end].split(',').filter(|p| !p.is_empty()) {
-            let (name, count) = pair
-                .split_once(':')
-                .ok_or_else(|| bad("malformed dequeues entry"))?;
-            let name = name.trim_matches('"').to_string();
-            let count = count.parse().map_err(|_| bad("bad dequeue count"))?;
-            summary.dequeues.insert(name, count);
-        }
-    }
-    Ok(summary)
+    let dequeues = match doc.get("dequeues") {
+        None => BTreeMap::new(),
+        Some(v) => v
+            .as_object()
+            .ok_or("\"dequeues\" is not an object")?
+            .iter()
+            .map(|(name, count)| Ok((name.clone(), count.as_u64().ok_or("bad dequeue count")?)))
+            .collect::<Result<_, &'static str>>()?,
+    };
+    Ok(TraceSummary { events, dequeues })
 }
 
 #[cfg(test)]
@@ -367,7 +247,7 @@ mod tests {
         assert_eq!(t.records.len(), 6);
         assert_eq!(t.records[0].kind, "channel_request");
         assert_eq!(t.records[0].node(), Some(0));
-        assert_eq!(t.records[3].field("deviation"), Some(&Value::F64(0.25)));
+        assert_eq!(t.records[3].field("deviation"), Some(&Json::Float(0.25)));
         assert_eq!(
             t.records[4].field("phase").unwrap().as_str(),
             Some("learning")
@@ -416,7 +296,7 @@ mod tests {
         let err = TraceFile::parse(text).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("warp_drive"), "{msg}");
-        assert!(msg.contains("KNOWN_KINDS"), "{msg}");
+        assert!(msg.contains("TraceEvent::KINDS"), "{msg}");
         assert!(msg.contains("line 2"), "{msg}");
     }
 
@@ -429,9 +309,38 @@ mod tests {
     }
 
     #[test]
-    fn value_json_round_trip() {
-        for raw in ["12", "0.25", "true", "false", "\"learning\""] {
-            assert_eq!(parse_value(raw).unwrap().to_json(), raw);
+    fn malformed_lines_are_errors_naming_the_line() {
+        let header =
+            "{\"schema\":\"bicord-trace/1\",\"seed\":1,\"mode\":\"x\",\"duration_us\":1}\n";
+        for (line, needle) in [
+            ("{\"t_us\":5,\"ev\":\"reservation\"", "json parse error"),
+            ("[1,2]", "not a JSON object"),
+            ("{\"t_us\":-5,\"ev\":\"reservation\"}", "t_us"),
+            ("{\"t_us\":5,\"ev\":7}", "\"ev\""),
+            ("{\"summary\":true,\"events\":\"x\"}", "events"),
+            (
+                "{\"summary\":true,\"dequeues\":{\"Timer\":-1}}",
+                "dequeue count",
+            ),
+        ] {
+            let err = TraceFile::parse(&format!("{header}{line}\n")).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains("line 2") && msg.contains(needle),
+                "{line}: {msg}"
+            );
         }
+    }
+
+    #[test]
+    fn escaped_strings_and_u64_seed_survive() {
+        let text = format!(
+            "{}\n{{\"t_us\":1,\"ev\":\"re_estimate\",\"reason\":\"a\\\"b\"}}\n",
+            TraceHeader::new(u64::MAX, "m\\x", 1).to_json()
+        );
+        let t = TraceFile::parse(&text).unwrap();
+        assert_eq!(t.header.seed, u64::MAX);
+        assert_eq!(t.header.mode, "m\\x");
+        assert_eq!(t.records[0].field("reason").unwrap().as_str(), Some("a\"b"));
     }
 }

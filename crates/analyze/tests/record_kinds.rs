@@ -6,11 +6,11 @@
 //! `bicord_sim::obs::TraceEvent` breaks this test's build with a
 //! missing-match-arm error right here, and the fix (adding a sample)
 //! then fails at runtime with the kind's name until
-//! `bicord_analyze::trace::KNOWN_KINDS` (and the summarizer's routing)
-//! learn the new kind too. Either way, the trace schema cannot grow
-//! past the analyzer silently.
+//! `TraceEvent::KINDS` (and the summarizer's routing) learn the new kind
+//! too. Either way, the trace schema cannot grow past the analyzer
+//! silently.
 
-use bicord_analyze::trace::{TraceFile, KNOWN_KINDS};
+use bicord_analyze::trace::TraceFile;
 use bicord_sim::obs::{TraceEvent, TraceHeader};
 
 /// One representative sample of every `TraceEvent` variant.
@@ -253,7 +253,7 @@ fn round_trip(events: &[TraceEvent]) -> TraceFile {
         Ok(trace) => trace,
         Err(e) => panic!(
             "the analyzer failed to consume a kind the sinks emit: {e}\n\
-             (fix bicord_analyze::trace::KNOWN_KINDS and the summarizer routing)"
+             (fix TraceEvent::KINDS and the summarizer routing)"
         ),
     }
 }
@@ -275,8 +275,9 @@ fn sample_set_covers_known_kinds_exactly() {
     // the same set, in the same taxonomy order.
     let emitted: Vec<&str> = sample_events().iter().map(|e| e.kind()).collect();
     assert_eq!(
-        emitted, KNOWN_KINDS,
-        "TraceEvent variants and bicord_analyze::trace::KNOWN_KINDS diverged"
+        emitted,
+        TraceEvent::KINDS,
+        "TraceEvent variants and TraceEvent::KINDS diverged"
     );
 }
 
@@ -285,7 +286,8 @@ fn every_kind_lands_in_a_summarizer_population() {
     let trace = round_trip(&sample_events());
     let populated: Vec<&str> = trace.populations().iter().map(|(k, _)| *k).collect();
     assert_eq!(
-        populated, KNOWN_KINDS,
+        populated,
+        TraceEvent::KINDS,
         "a parsed kind vanished from the population report"
     );
 }

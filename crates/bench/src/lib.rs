@@ -46,7 +46,8 @@ pub use cli::BenchCli;
 use std::time::Instant;
 
 use bicord_metrics::TextTable;
-use bicord_sim::SimDuration;
+use bicord_sim::json::Json;
+use bicord_sim::{json, SimDuration};
 
 /// `true` when the binary was invoked with `--quick`.
 pub fn quick_mode() -> bool {
@@ -245,104 +246,69 @@ impl PerfRecorder {
             Err(_) => std::path::PathBuf::from("BENCH_results.json"),
         };
         let wall_ms = self.started.elapsed().as_secs_f64() * 1e3;
-        let record = self.to_json_line(wall_ms, quick_mode(), bicord_sim::par::num_threads());
-        if let Err(e) = merge_record(&path, &self.experiment, quick_mode(), self.shard, &record) {
+        let record = self.to_json(wall_ms, quick_mode(), bicord_sim::par::num_threads());
+        if let Err(e) = merge_record(&path, record) {
             eprintln!("warning: could not write {}: {e}", path.display());
         } else {
             eprintln!("recorded perf entry in {}", path.display());
         }
     }
 
-    fn to_json_line(&self, wall_ms: f64, quick: bool, threads: usize) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{{\"experiment\": {}, \"quick\": {}, {}\"threads\": {}, \"cells\": {}, \"wall_ms\": {}, \"metrics\": {{",
-            json_string(&self.experiment),
-            quick,
-            shard_field(self.shard),
-            threads,
-            self.cells,
-            json_number(wall_ms),
-        ));
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("{}: {}", json_string(name), json_number(*value)));
+    fn to_json(&self, wall_ms: f64, quick: bool, threads: usize) -> Json {
+        let mut fields = vec![
+            ("experiment".to_string(), Json::Str(self.experiment.clone())),
+            ("quick".to_string(), Json::Bool(quick)),
+        ];
+        if let Some(shard) = self.shard {
+            fields.push(("shard".to_string(), Json::Str(shard.to_string())));
         }
-        s.push_str("}}");
-        s
+        let metrics = self
+            .metrics
+            .iter()
+            .map(|(name, value)| (name.clone(), Json::Float(*value)))
+            .collect();
+        fields.extend([
+            ("threads".to_string(), Json::Int(threads as i64)),
+            ("cells".to_string(), Json::Int(self.cells as i64)),
+            ("wall_ms".to_string(), Json::Float(wall_ms)),
+            ("metrics".to_string(), Json::Obj(metrics)),
+        ]);
+        Json::Obj(fields)
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// The optional `"shard": "K/N", ` segment emitted right after `quick`.
-fn shard_field(shard: Option<bicord_sweep::Shard>) -> String {
-    match shard {
-        Some(s) => format!("\"shard\": {}, ", json_string(&s.to_string())),
-        None => String::new(),
-    }
-}
-
-/// Rewrites the results array, replacing any existing entry for
-/// `(experiment, quick, shard)` with `record`. Relies on every element
-/// being on its own line, which is how this module always writes the
-/// file. The marker includes the key that follows the optional `shard`
-/// field (`"threads"` for unsharded records), so an unsharded record
-/// never matches — and never overwrites — a sharded one for the same
+/// The `(experiment, quick, shard)` identity of a results-file record;
+/// an unsharded record never matches a sharded one for the same
 /// experiment, and vice versa.
-fn merge_record(
-    path: &std::path::Path,
-    experiment: &str,
-    quick: bool,
-    shard: Option<bicord_sweep::Shard>,
-    record: &str,
-) -> std::io::Result<()> {
-    let marker = format!(
-        "{{\"experiment\": {}, \"quick\": {}, {}\"threads\":",
-        json_string(experiment),
-        quick,
-        shard_field(shard),
-    );
-    let mut entries: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(path) {
-        for line in existing.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if line.starts_with('{') && !line.starts_with(&marker) {
-                entries.push(line.to_string());
-            }
-        }
-    }
-    entries.push(record.to_string());
-    let mut out = String::from("[\n");
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n]\n");
-    std::fs::write(path, out)
+fn record_key(record: &Json) -> [Option<&Json>; 3] {
+    ["experiment", "quick", "shard"].map(|name| record.get(name))
+}
+
+/// Rewrites the results array, replacing any existing entry with the
+/// same `(experiment, quick, shard)` as `record`. A file that exists but
+/// does not parse as a JSON array is left untouched and reported as an
+/// error, so a corrupt results file is never silently truncated.
+fn merge_record(path: &std::path::Path, record: Json) -> std::io::Result<()> {
+    let mut entries = match std::fs::read_to_string(path) {
+        Ok(text) => match json::parse(&text) {
+            Ok(Json::Arr(entries)) => entries,
+            Ok(other) => return Err(refuse(&format!("it holds a {}", other.kind_name()))),
+            Err(e) => return Err(refuse(&e)),
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    entries.retain(|e| record_key(e) != record_key(&record));
+    entries.push(record);
+    let lines: Vec<String> = entries.iter().map(Json::to_string).collect();
+    std::fs::write(path, format!("[\n{}\n]\n", lines.join(",\n")))
+}
+
+fn refuse(reason: &str) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("refusing to overwrite a results file that is not a JSON array: {reason}"),
+    )
 }
 
 #[cfg(test)]
@@ -357,25 +323,12 @@ mod tests {
     }
 
     #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-    }
-
-    #[test]
-    fn json_numbers_handle_non_finite() {
-        assert_eq!(json_number(1.5), "1.5");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(f64::INFINITY), "null");
-    }
-
-    #[test]
     fn record_serializes_to_one_line() {
         let mut p = PerfRecorder::start("demo");
         p.cells(12);
         p.metric("utilization", 0.91);
         p.metric("broken", f64::NAN);
-        let line = p.to_json_line(3.25, true, 4);
+        let line = p.to_json(3.25, true, 4).to_string();
         assert!(!line.contains('\n'));
         assert_eq!(
             line,
@@ -390,7 +343,7 @@ mod tests {
         let mut p = PerfRecorder::start("demo");
         p.cells(6);
         p.shard(bicord_sweep::Shard::parse("2/4").unwrap());
-        let line = p.to_json_line(1.5, false, 2);
+        let line = p.to_json(1.5, false, 2).to_string();
         assert_eq!(
             line,
             "{\"experiment\": \"demo\", \"quick\": false, \"shard\": \"2/4\", \
@@ -406,11 +359,11 @@ mod tests {
         let rec = |name: &str, wall: f64| {
             let mut p = PerfRecorder::start(name);
             p.cells(1);
-            p.to_json_line(wall, false, 1)
+            p.to_json(wall, false, 1)
         };
-        merge_record(&path, "a", false, None, &rec("a", 1.0)).unwrap();
-        merge_record(&path, "b", false, None, &rec("b", 2.0)).unwrap();
-        merge_record(&path, "a", false, None, &rec("a", 9.0)).unwrap();
+        merge_record(&path, rec("a", 1.0)).unwrap();
+        merge_record(&path, rec("b", 2.0)).unwrap();
+        merge_record(&path, rec("a", 9.0)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with("[\n") && text.ends_with("\n]\n"), "{text}");
         assert_eq!(text.matches("\"experiment\": \"a\"").count(), 1);
@@ -433,42 +386,53 @@ mod tests {
             if let Some(s) = sh {
                 p.shard(shard(s));
             }
-            p.to_json_line(wall, false, 1)
+            p.to_json(wall, false, 1)
         };
-        merge_record(&path, "a", false, None, &rec(None, 1.0)).unwrap();
-        merge_record(
-            &path,
-            "a",
-            false,
-            Some(shard("1/2")),
-            &rec(Some("1/2"), 2.0),
-        )
-        .unwrap();
-        merge_record(
-            &path,
-            "a",
-            false,
-            Some(shard("2/2")),
-            &rec(Some("2/2"), 3.0),
-        )
-        .unwrap();
+        merge_record(&path, rec(None, 1.0)).unwrap();
+        merge_record(&path, rec(Some("1/2"), 2.0)).unwrap();
+        merge_record(&path, rec(Some("2/2"), 3.0)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.matches("\"experiment\": \"a\"").count(), 3, "{text}");
         // Re-running shard 1/2 replaces only that entry.
-        merge_record(
-            &path,
-            "a",
-            false,
-            Some(shard("1/2")),
-            &rec(Some("1/2"), 8.0),
-        )
-        .unwrap();
+        merge_record(&path, rec(Some("1/2"), 8.0)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.matches("\"experiment\": \"a\"").count(), 3, "{text}");
         assert!(text.contains("\"wall_ms\": 8"), "{text}");
         assert!(!text.contains("\"wall_ms\": 2,"), "{text}");
         assert!(text.contains("\"wall_ms\": 1,"), "{text}");
         assert!(text.contains("\"wall_ms\": 3,"), "{text}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn merge_refuses_a_results_file_it_cannot_parse() {
+        let dir =
+            std::env::temp_dir().join(format!("bicord-bench-corrupt-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_results.json");
+        let rec = PerfRecorder::start("a").to_json(1.0, false, 1);
+        for corrupt in ["[\n{\"experiment\": \"b\", \"quick\": fa", "{}", ""] {
+            std::fs::write(&path, corrupt).unwrap();
+            let err = merge_record(&path, rec.clone()).unwrap_err();
+            assert!(err.to_string().contains("refusing to overwrite"), "{err}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), corrupt);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn merge_preserves_existing_records_byte_for_byte() {
+        let dir =
+            std::env::temp_dir().join(format!("bicord-bench-bytes-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_results.json");
+        let existing = "[\n{\"experiment\": \"x\", \"quick\": true, \"threads\": 1, \
+                        \"cells\": 5, \"wall_ms\": 169.98138600000001, \"metrics\": \
+                        {\"run_ms\": 0.8135319999999999, \"gone\": null}}\n]\n";
+        std::fs::write(&path, existing).unwrap();
+        merge_record(&path, PerfRecorder::start("y").to_json(2.0, false, 1)).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with(&existing[..existing.len() - 3]), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -12,6 +12,8 @@
 //! * [`rng`] — reproducible per-component random-number streams,
 //! * [`dist`] — the handful of distributions the models need (exponential,
 //!   normal, Poisson) implemented without external dependencies,
+//! * [`json`] — the workspace's one JSON codec (specs, artifacts, trace
+//!   headers and records, bench results, budget rules),
 //! * [`obs`] — structured observability: the [`obs::EventSink`] trait,
 //!   the [`obs::TraceEvent`] taxonomy, and the JSONL timeline writer,
 //! * [`fault`] — deterministic fault injection ([`fault::FaultProfile`] /
@@ -44,6 +46,7 @@ pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod guard;
+pub mod json;
 pub mod obs;
 pub mod par;
 pub mod rng;

@@ -32,6 +32,8 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use crate::json;
+
 /// The JSONL trace schema identifier written in every file header.
 ///
 /// Bump the trailing number whenever a record's fields change meaning;
@@ -287,6 +289,38 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// Every record kind, in taxonomy order (the table in
+    /// `docs/OBSERVABILITY.md`): the one list trace readers check `ev`
+    /// labels against. `every_kind_serializes_with_its_kind_label` fails
+    /// if it and [`TraceEvent::kind`] diverge.
+    pub const KINDS: &'static [&'static str] = &[
+        "dequeue",
+        "csi_classified",
+        "detection",
+        "channel_request",
+        "reservation",
+        "white_space",
+        "n_round",
+        "estimate",
+        "re_estimate",
+        "burst_complete",
+        "packet_delivered",
+        "trial_resolved",
+        "medium_cache_invalidated",
+        "medium_cache_stats",
+        "medium_grid_stats",
+        "fault_control_lost",
+        "fault_cts_lost",
+        "fault_phantom_csi",
+        "fault_churn",
+        "signaling_backoff",
+        "csma_fallback",
+        "learning_abort",
+        "guard_stall",
+        "guard_liveness",
+        "guard_conservation",
+    ];
+
     /// Stable short name of the record kind (used as the JSONL `ev` field
     /// and as the counter key in metric registries).
     pub fn kind(&self) -> &'static str {
@@ -624,8 +658,11 @@ impl TraceHeader {
     /// Serializes the header as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"schema\":\"{}\",\"seed\":{},\"mode\":\"{}\",\"duration_us\":{}}}",
-            self.schema, self.seed, self.mode, self.duration_us
+            "{{\"schema\":{},\"seed\":{},\"mode\":{},\"duration_us\":{}}}",
+            json::escape(&self.schema),
+            self.seed,
+            json::escape(&self.mode),
+            self.duration_us
         )
     }
 
@@ -634,37 +671,18 @@ impl TraceHeader {
     /// Returns `None` for malformed lines or unknown schemas — callers
     /// must treat that as "do not interpret the rest of the file".
     pub fn parse(line: &str) -> Option<Self> {
-        let schema = json_str_field(line, "schema")?;
+        let doc = json::parse(line).ok()?;
+        let schema = doc.get("schema")?.as_str()?;
         if schema != TRACE_SCHEMA {
             return None;
         }
         Some(TraceHeader {
-            schema,
-            seed: json_u64_field(line, "seed")?,
-            mode: json_str_field(line, "mode")?,
-            duration_us: json_u64_field(line, "duration_us")?,
+            schema: schema.to_string(),
+            seed: doc.get("seed")?.as_u64()?,
+            mode: doc.get("mode")?.as_str()?.to_string(),
+            duration_us: doc.get("duration_us")?.as_u64()?,
         })
     }
-}
-
-/// Extracts a `"key":"value"` string field from a flat JSON line. Values
-/// containing escapes are not supported (the writer never emits any).
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extracts a `"key":123` integer field from a flat JSON line.
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 /// Writes a deterministic, schema-versioned JSONL timeline of one run.
@@ -856,6 +874,18 @@ mod tests {
     }
 
     #[test]
+    fn header_round_trips_extreme_seed_and_escaped_mode() {
+        let h = TraceHeader::new(u64::MAX, "a\"quoted\\mode", 1);
+        let line = h.to_json();
+        assert_eq!(
+            line,
+            "{\"schema\":\"bicord-trace/1\",\"seed\":18446744073709551615,\
+             \"mode\":\"a\\\"quoted\\\\mode\",\"duration_us\":1}"
+        );
+        assert_eq!(TraceHeader::parse(&line), Some(h));
+    }
+
+    #[test]
     fn header_rejects_unknown_schema() {
         let line = "{\"schema\":\"bicord-trace/999\",\"seed\":1,\"mode\":\"x\",\"duration_us\":5}";
         assert!(TraceHeader::parse(line).is_none());
@@ -1018,5 +1048,7 @@ mod tests {
             e.write_jsonl(&mut line);
             assert!(line.contains(&format!("\"ev\":\"{}\"", e.kind())), "{line}");
         }
+        let kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
+        assert_eq!(kinds, TraceEvent::KINDS, "TraceEvent::KINDS drifted");
     }
 }

@@ -21,8 +21,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::contract::{fnv1a, ResultRow, SweepSpec};
-use crate::json::{self, Json};
 use crate::shard::Shard;
+use bicord_sim::json::{self, Json};
 
 /// Schema tag of shard artifacts.
 pub const SHARD_SCHEMA: &str = "bicord-sweep/1";
@@ -234,12 +234,9 @@ pub fn read_shard_full(
             .ok_or_else(|| ArtifactIssue::Corrupt("\"quarantined\" is not an array".to_string()))?
             .iter()
             .map(|j| {
-                j.as_i64()
-                    .filter(|&id| id >= 0)
-                    .map(|id| id as u64)
-                    .ok_or_else(|| {
-                        ArtifactIssue::Corrupt("non-integer quarantined cell id".to_string())
-                    })
+                j.as_u64().ok_or_else(|| {
+                    ArtifactIssue::Corrupt("non-integer quarantined cell id".to_string())
+                })
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
@@ -352,9 +349,7 @@ pub fn read_quarantine(path: &Path, spec: &SweepSpec) -> Result<QuarantineRecord
     };
     let nfield = |name: &str| -> Result<u64, ArtifactIssue> {
         doc.get(name)
-            .and_then(Json::as_i64)
-            .filter(|&v| v >= 0)
-            .map(|v| v as u64)
+            .and_then(Json::as_u64)
             .ok_or_else(|| ArtifactIssue::Corrupt(format!("no \"{name}\" number")))
     };
     if sfield("schema")? != QUARANTINE_SCHEMA {

@@ -25,7 +25,7 @@
 
 use std::fmt;
 
-use crate::json::{self, Json};
+use bicord_sim::json::{self, Json};
 
 /// One parameter value in a sweep axis or an expanded cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,6 +66,8 @@ impl ParamValue {
         match value {
             Json::Bool(b) => Ok(ParamValue::Bool(*b)),
             Json::Int(n) => Ok(ParamValue::Int(*n)),
+            // Beyond `i64`: a float, like any other number too big for `Int`.
+            Json::UInt(n) => Ok(ParamValue::Float(*n as f64)),
             Json::Float(x) => Ok(ParamValue::Float(*x)),
             Json::Str(s) => Ok(ParamValue::Str(s.clone())),
             other => Err(format!(
@@ -187,13 +189,12 @@ impl SweepSpec {
             .to_string();
         let seed = match doc.get("seed") {
             None => return Err("spec needs a \"seed\" integer".to_string()),
-            Some(Json::Int(n)) if *n >= 0 => *n as u64,
-            Some(other) => {
-                return Err(format!(
+            Some(v) => v.as_u64().ok_or_else(|| {
+                format!(
                     "\"seed\" must be a non-negative integer, got {}",
-                    other.kind_name()
-                ))
-            }
+                    v.kind_name()
+                )
+            })?,
         };
         let replicates = match doc.get("replicates") {
             None => 1,
@@ -422,11 +423,11 @@ impl ResultRow {
     pub fn from_json(doc: &Json) -> Result<ResultRow, String> {
         let cell = doc
             .get("cell")
-            .and_then(Json::as_i64)
+            .and_then(Json::as_u64)
             .ok_or("row needs a \"cell\" integer")?;
         let seed = doc
             .get("seed")
-            .and_then(Json::as_i64)
+            .and_then(Json::as_u64)
             .ok_or("row needs a \"seed\" integer")?;
         let replicate = doc
             .get("replicate")
@@ -455,8 +456,8 @@ impl ResultRow {
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(ResultRow {
-            cell: cell as u64,
-            seed: seed as u64,
+            cell,
+            seed,
             replicate: replicate as u32,
             params,
             metrics,

@@ -70,11 +70,13 @@
 
 pub mod artifact;
 pub mod contract;
-pub mod json;
 pub mod registry;
 pub mod runner;
 pub mod shard;
 pub mod supervise;
+
+/// The JSON codec, re-exported from its home in `bicord_sim`.
+pub use bicord_sim::json;
 
 pub use artifact::{QuarantineRecord, ShardContents};
 pub use contract::{Cell, ParamKind, ParamValue, ResultRow, SweepSpec};

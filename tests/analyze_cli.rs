@@ -184,3 +184,77 @@ fn summarize_and_diff_trace_on_a_golden_trace() {
     let out = bicord(&["frobnicate"], &dir);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
+
+/// A truncated baseline must fail the gate as an unreadable file (exit
+/// 2, naming it), not pass on the entries that survived the cut.
+#[test]
+fn truncated_baseline_is_an_error_not_a_pass() {
+    let dir = tmpdir("truncated");
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let baseline = std::fs::read_to_string(repo.join("scripts/bench_baseline.json")).unwrap();
+    let current = baseline.replace(
+        "\"mean_aggregate_pdr\": 0.9242801095565918",
+        "\"mean_aggregate_pdr\": 0.5",
+    );
+    assert_ne!(current, baseline, "the PDR edit must apply");
+    std::fs::write(dir.join("current.json"), &current).unwrap();
+    std::fs::write(dir.join("baseline.json"), &baseline).unwrap();
+    std::fs::write(dir.join("cut.json"), &baseline[..900]).unwrap();
+
+    let out = bicord(
+        &["diff-bench", "current.json", "--baseline", "baseline.json"],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("mean_aggregate_pdr"));
+
+    let out = bicord(
+        &["diff-bench", "current.json", "--baseline", "cut.json"],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cut.json"), "{stderr}");
+    assert!(stderr.contains("json parse error"), "{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("PASS"));
+
+    // The same holds for a truncated CURRENT file.
+    std::fs::write(dir.join("cut_current.json"), &current[..900]).unwrap();
+    let out = bicord(
+        &[
+            "diff-bench",
+            "cut_current.json",
+            "--baseline",
+            "baseline.json",
+        ],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cut_current.json"));
+}
+
+/// A rules file must be one valid JSON array: a stray fragment is an
+/// error naming the file rather than a partially applied rule set.
+#[test]
+fn malformed_rules_file_is_an_error() {
+    let dir = tmpdir("rules");
+    std::fs::write(dir.join("baseline.json"), BASELINE).unwrap();
+    std::fs::write(
+        dir.join("rules.json"),
+        r#"[{"metric": "_ns", "rule": "max_regression_pct", "limit": 25}"#,
+    )
+    .unwrap();
+    let out = bicord(
+        &[
+            "diff-bench",
+            "baseline.json",
+            "--baseline",
+            "baseline.json",
+            "--rules",
+            "rules.json",
+        ],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("rules.json"));
+}
