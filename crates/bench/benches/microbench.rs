@@ -17,6 +17,7 @@ use bicord_phy::interferers::{
 use bicord_phy::spectrum::{WifiChannel, ZigbeeChannel};
 use bicord_phy::units::Dbm;
 use bicord_sim::event::EventQueue;
+use bicord_sim::obs::NoopSink;
 use bicord_sim::{stream_rng, SeedDomain, SimTime};
 
 fn bench_csi_detector(c: &mut Criterion) {
@@ -54,11 +55,11 @@ fn bench_allocator(c: &mut Criterion) {
             let mut now = SimTime::from_millis(1);
             for _ in 0..100 {
                 for _ in 0..3 {
-                    let ws = alloc.on_request(now);
+                    let ws = alloc.on_request(now, &mut NoopSink);
                     now += ws;
                 }
                 now += bicord_sim::SimDuration::from_millis(25);
-                alloc.on_burst_end(now);
+                alloc.on_burst_end(now, &mut NoopSink);
                 now += bicord_sim::SimDuration::from_millis(200);
             }
             black_box(alloc.estimate())

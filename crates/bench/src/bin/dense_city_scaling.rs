@@ -26,8 +26,6 @@
 //! mergeable); per-query latency timing is inherently wall-clock and
 //! stays on this binary's default path.
 
-#![deny(deprecated)]
-
 use std::time::Instant;
 
 use bicord_bench::PerfRecorder;

@@ -11,8 +11,6 @@
 //! ("robustness" entry); pass `--spec FILE [--shard K/N]` to run an
 //! arbitrary spec of the same scenario instead of the built-in grid.
 
-#![deny(deprecated)]
-
 use bicord_bench::{run_duration, PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::{fmt1, pct, TextTable};
 use bicord_scenario::sim::CoexistenceSim;

@@ -18,7 +18,7 @@
 //!   update, so an expiry timer (10 s) periodically resets the allocator to
 //!   the learning phase to reclaim over-provisioned channel time.
 
-use bicord_sim::obs::{EventSink, NoopSink, TraceEvent};
+use bicord_sim::obs::{EventSink, TraceEvent};
 use bicord_sim::{SimDuration, SimTime};
 
 /// Allocator parameters.
@@ -113,11 +113,12 @@ pub enum AllocationPhase {
 ///
 /// ```
 /// use bicord_core::allocation::{AllocatorConfig, WhiteSpaceAllocator};
+/// use bicord_sim::obs::NoopSink;
 /// use bicord_sim::{SimDuration, SimTime};
 ///
 /// let mut alloc = WhiteSpaceAllocator::new(AllocatorConfig::default());
 /// // First request of a burst: the learning step (30 ms).
-/// let ws = alloc.on_request(SimTime::from_millis(100));
+/// let ws = alloc.on_request(SimTime::from_millis(100), &mut NoopSink);
 /// assert_eq!(ws, SimDuration::from_millis(30));
 /// ```
 #[derive(Debug, Clone)]
@@ -210,17 +211,16 @@ impl WhiteSpaceAllocator {
     /// A request arriving after the expiry deadline of a converged
     /// estimate resets the allocator to the learning phase first (the
     /// burst may have become shorter — Sec. VI "white space adjustment").
-    pub fn on_request(&mut self, now: SimTime) -> SimDuration {
-        self.on_request_obs(now, &mut NoopSink)
-    }
-
-    /// [`WhiteSpaceAllocator::on_request`] with observability: emits a
+    ///
+    /// Emits into `sink` (pass [`NoopSink`] for none) a
     /// [`TraceEvent::ReEstimate`] (`reason: "expiry"`) when a stale
     /// converged estimate resets to learning, a
     /// [`TraceEvent::LearningAbort`] when the round count trips the
     /// consistency bound, and a [`TraceEvent::NRound`] for the round
     /// counted to the current burst.
-    pub fn on_request_obs<S: EventSink>(&mut self, now: SimTime, sink: &mut S) -> SimDuration {
+    ///
+    /// [`NoopSink`]: bicord_sim::obs::NoopSink
+    pub fn on_request<S: EventSink>(&mut self, now: SimTime, sink: &mut S) -> SimDuration {
         if self.phase == AllocationPhase::Converged
             && now.saturating_since(self.last_estimate_update) >= self.config.reestimate_after
         {
@@ -258,20 +258,12 @@ impl WhiteSpaceAllocator {
     ///
     /// Applies the paper's conservative estimator and returns the new
     /// phase. Calling it with no active burst is a no-op.
-    pub fn on_burst_end(&mut self, now: SimTime) -> AllocationPhase {
-        self.on_burst_end_obs(now, &mut NoopSink)
-    }
-
-    /// [`WhiteSpaceAllocator::on_burst_end`] with observability: emits a
-    /// [`TraceEvent::Estimate`] with the post-update estimate of every
-    /// served burst, plus a [`TraceEvent::ReEstimate`] when the estimate
-    /// is probed downwards (`"shrink-probe"`) or a confirmed multi-round
-    /// burst re-opens learning (`"growth"`).
-    pub fn on_burst_end_obs<S: EventSink>(
-        &mut self,
-        now: SimTime,
-        sink: &mut S,
-    ) -> AllocationPhase {
+    ///
+    /// Emits into `sink` a [`TraceEvent::Estimate`] with the post-update
+    /// estimate of every served burst, plus a [`TraceEvent::ReEstimate`]
+    /// when the estimate is probed downwards (`"shrink-probe"`) or a
+    /// confirmed multi-round burst re-opens learning (`"growth"`).
+    pub fn on_burst_end<S: EventSink>(&mut self, now: SimTime, sink: &mut S) -> AllocationPhase {
         if !self.burst_active {
             return self.phase;
         }
@@ -438,6 +430,7 @@ pub fn packets_per_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bicord_sim::obs::NoopSink;
     use proptest::prelude::*;
 
     fn alloc() -> WhiteSpaceAllocator {
@@ -460,14 +453,14 @@ mod tests {
             let mut remaining = burst_payload;
             let mut ws = SimDuration::ZERO;
             while !remaining.is_zero() {
-                ws = alloc.on_request(now);
+                ws = alloc.on_request(now, &mut NoopSink);
                 now += ws;
                 let usable = ws.saturating_sub(overhead);
                 remaining = remaining.saturating_sub(usable.max(SimDuration::from_millis(1)));
             }
             granted.push(ws);
             now += SimDuration::from_millis(25); // quiet gap
-            alloc.on_burst_end(now);
+            alloc.on_burst_end(now, &mut NoopSink);
             if alloc.phase() == AllocationPhase::Converged {
                 break;
             }
@@ -480,7 +473,7 @@ mod tests {
     fn first_request_gets_initial_step() {
         let mut a = alloc();
         assert_eq!(
-            a.on_request(SimTime::from_millis(5)),
+            a.on_request(SimTime::from_millis(5), &mut NoopSink),
             SimDuration::from_millis(30)
         );
         assert!(a.burst_active());
@@ -491,14 +484,17 @@ mod tests {
     fn forty_ms_step_variant() {
         let mut a =
             WhiteSpaceAllocator::new(AllocatorConfig::with_step(SimDuration::from_millis(40)));
-        assert_eq!(a.on_request(SimTime::ZERO), SimDuration::from_millis(40));
+        assert_eq!(
+            a.on_request(SimTime::ZERO, &mut NoopSink),
+            SimDuration::from_millis(40)
+        );
     }
 
     #[test]
     fn single_round_burst_converges_immediately() {
         let mut a = alloc();
-        let _ = a.on_request(SimTime::from_millis(1));
-        let phase = a.on_burst_end(SimTime::from_millis(60));
+        let _ = a.on_request(SimTime::from_millis(1), &mut NoopSink);
+        let phase = a.on_burst_end(SimTime::from_millis(60), &mut NoopSink);
         assert_eq!(phase, AllocationPhase::Converged);
         assert_eq!(a.estimate(), SimDuration::from_millis(30));
         assert_eq!(a.bursts_seen(), 1);
@@ -509,10 +505,10 @@ mod tests {
         let mut a = alloc();
         // Three rounds at 30 ms with T_c = 8 ms:
         for k in 0..3 {
-            let ws = a.on_request(SimTime::from_millis(1 + 40 * k));
+            let ws = a.on_request(SimTime::from_millis(1 + 40 * k), &mut NoopSink);
             assert_eq!(ws, SimDuration::from_millis(30));
         }
-        a.on_burst_end(SimTime::from_millis(150));
+        a.on_burst_end(SimTime::from_millis(150), &mut NoopSink);
         // (30 − 16) × 3 = 42 ms.
         assert_eq!(a.estimate(), SimDuration::from_millis(42));
         assert_eq!(a.phase(), AllocationPhase::Learning);
@@ -558,9 +554,12 @@ mod tests {
         );
         let est = a.estimate();
         // Steady state: one request, one sufficient white space.
-        let ws = a.on_request(SimTime::from_secs(2));
+        let ws = a.on_request(SimTime::from_secs(2), &mut NoopSink);
         assert_eq!(ws, est);
-        a.on_burst_end(SimTime::from_secs(2) + est + SimDuration::from_millis(25));
+        a.on_burst_end(
+            SimTime::from_secs(2) + est + SimDuration::from_millis(25),
+            &mut NoopSink,
+        );
         assert_eq!(a.phase(), AllocationPhase::Converged);
         assert_eq!(a.estimate(), est);
     }
@@ -577,9 +576,9 @@ mod tests {
         let est_small = a.estimate();
         // Burst doubles. The first multi-round burst is treated as a
         // possible false positive (estimate unchanged)...
-        let _ = a.on_request(SimTime::from_secs(3));
-        let _ = a.on_request(SimTime::from_secs(3) + est_small);
-        a.on_burst_end(SimTime::from_secs(4));
+        let _ = a.on_request(SimTime::from_secs(3), &mut NoopSink);
+        let _ = a.on_request(SimTime::from_secs(3) + est_small, &mut NoopSink);
+        a.on_burst_end(SimTime::from_secs(4), &mut NoopSink);
         assert_eq!(
             a.estimate(),
             est_small,
@@ -587,9 +586,9 @@ mod tests {
         );
         // ... the second consecutive one confirms the change and grows the
         // estimate.
-        let _ = a.on_request(SimTime::from_secs(5));
-        let _ = a.on_request(SimTime::from_secs(5) + est_small);
-        a.on_burst_end(SimTime::from_secs(6));
+        let _ = a.on_request(SimTime::from_secs(5), &mut NoopSink);
+        let _ = a.on_request(SimTime::from_secs(5) + est_small, &mut NoopSink);
+        a.on_burst_end(SimTime::from_secs(6), &mut NoopSink);
         assert!(
             a.estimate() > est_small,
             "estimate must grow after confirmation"
@@ -599,20 +598,20 @@ mod tests {
     #[test]
     fn single_round_burst_clears_pending_reestimate() {
         let mut a = alloc();
-        let _ = a.on_request(SimTime::from_millis(1));
-        a.on_burst_end(SimTime::from_millis(60)); // converged
+        let _ = a.on_request(SimTime::from_millis(1), &mut NoopSink);
+        a.on_burst_end(SimTime::from_millis(60), &mut NoopSink); // converged
         let est = a.estimate();
         // One multi-round burst (suspected FP)...
-        let _ = a.on_request(SimTime::from_secs(1));
-        let _ = a.on_request(SimTime::from_millis(1_040));
-        a.on_burst_end(SimTime::from_millis(1_100));
+        let _ = a.on_request(SimTime::from_secs(1), &mut NoopSink);
+        let _ = a.on_request(SimTime::from_millis(1_040), &mut NoopSink);
+        a.on_burst_end(SimTime::from_millis(1_100), &mut NoopSink);
         // ... then a clean single-round burst clears the suspicion:
-        let _ = a.on_request(SimTime::from_secs(2));
-        a.on_burst_end(SimTime::from_millis(2_060));
+        let _ = a.on_request(SimTime::from_secs(2), &mut NoopSink);
+        a.on_burst_end(SimTime::from_millis(2_060), &mut NoopSink);
         // Another single multi-round burst is again provisional:
-        let _ = a.on_request(SimTime::from_secs(3));
-        let _ = a.on_request(SimTime::from_millis(3_040));
-        a.on_burst_end(SimTime::from_millis(3_100));
+        let _ = a.on_request(SimTime::from_secs(3), &mut NoopSink);
+        let _ = a.on_request(SimTime::from_millis(3_040), &mut NoopSink);
+        a.on_burst_end(SimTime::from_millis(3_100), &mut NoopSink);
         assert_eq!(
             a.estimate(),
             est,
@@ -625,9 +624,9 @@ mod tests {
         let mut a = alloc();
         // A wildly inflated round count in a single learning burst:
         for k in 0..10 {
-            let _ = a.on_request(SimTime::from_millis(1 + 40 * k));
+            let _ = a.on_request(SimTime::from_millis(1 + 40 * k), &mut NoopSink);
         }
-        a.on_burst_end(SimTime::from_secs(1));
+        a.on_burst_end(SimTime::from_secs(1), &mut NoopSink);
         // Formula would give (30-16)*10 = 140 ms; the 1.75x cap holds it
         // to 52.5 ms.
         assert_eq!(a.estimate(), SimDuration::from_micros(52_500));
@@ -636,11 +635,11 @@ mod tests {
     #[test]
     fn expiry_resets_to_learning() {
         let mut a = alloc();
-        let _ = a.on_request(SimTime::from_millis(1));
-        a.on_burst_end(SimTime::from_millis(60));
+        let _ = a.on_request(SimTime::from_millis(1), &mut NoopSink);
+        a.on_burst_end(SimTime::from_millis(60), &mut NoopSink);
         assert_eq!(a.phase(), AllocationPhase::Converged);
         // 10 s later the next request falls back to the learning step:
-        let ws = a.on_request(SimTime::from_secs(11));
+        let ws = a.on_request(SimTime::from_secs(11), &mut NoopSink);
         assert_eq!(ws, SimDuration::from_millis(30));
         assert_eq!(a.phase(), AllocationPhase::Learning);
     }
@@ -648,13 +647,13 @@ mod tests {
     #[test]
     fn requests_within_expiry_keep_estimate() {
         let mut a = alloc();
-        let _ = a.on_request(SimTime::from_millis(1));
-        let _ = a.on_request(SimTime::from_millis(40));
-        a.on_burst_end(SimTime::from_millis(100)); // estimate 28 -> learning
-        let _ = a.on_request(SimTime::from_millis(300));
-        a.on_burst_end(SimTime::from_millis(400)); // single round: converged
+        let _ = a.on_request(SimTime::from_millis(1), &mut NoopSink);
+        let _ = a.on_request(SimTime::from_millis(40), &mut NoopSink);
+        a.on_burst_end(SimTime::from_millis(100), &mut NoopSink); // estimate 28 -> learning
+        let _ = a.on_request(SimTime::from_millis(300), &mut NoopSink);
+        a.on_burst_end(SimTime::from_millis(400), &mut NoopSink); // single round: converged
         let est = a.estimate();
-        let ws = a.on_request(SimTime::from_secs(5));
+        let ws = a.on_request(SimTime::from_secs(5), &mut NoopSink);
         assert_eq!(ws, est, "within 10 s the estimate is reused");
     }
 
@@ -671,7 +670,7 @@ mod tests {
         // Five rounds are tolerated and grow nothing yet; the sixth trips
         // the consistency bound.
         for k in 0..6 {
-            let ws = a.on_request_obs(now, &mut sink);
+            let ws = a.on_request(now, &mut sink);
             now += ws + SimDuration::from_millis(1);
             if k < 5 {
                 assert!(sink.of_kind("learning_abort").is_empty());
@@ -691,7 +690,7 @@ mod tests {
         assert_eq!(a.rounds_this_burst(), 1);
         assert!(a.burst_active());
         // The burst can still end normally afterwards.
-        a.on_burst_end(now + SimDuration::from_millis(25));
+        a.on_burst_end(now + SimDuration::from_millis(25), &mut NoopSink);
         assert_eq!(a.rounds_this_burst(), 0);
         assert!(!a.burst_active());
     }
@@ -705,20 +704,20 @@ mod tests {
         let mut a = WhiteSpaceAllocator::new(cfg);
         let mut now = SimTime::from_millis(1);
         for _ in 0..5 {
-            let ws = a.on_request(now);
+            let ws = a.on_request(now, &mut NoopSink);
             now += ws + SimDuration::from_millis(1);
         }
         assert_eq!(a.learning_aborts(), 0);
         assert_eq!(a.rounds_this_burst(), 5);
         // The growth path still runs on an honest multi-round burst.
-        a.on_burst_end(now + SimDuration::from_millis(25));
+        a.on_burst_end(now + SimDuration::from_millis(25), &mut NoopSink);
         assert!(a.estimate() > SimDuration::from_millis(30));
     }
 
     #[test]
     fn burst_end_without_burst_is_noop() {
         let mut a = alloc();
-        let phase = a.on_burst_end(SimTime::from_millis(50));
+        let phase = a.on_burst_end(SimTime::from_millis(50), &mut NoopSink);
         assert_eq!(phase, AllocationPhase::Learning);
         assert_eq!(a.bursts_seen(), 0);
     }
@@ -732,9 +731,9 @@ mod tests {
         let mut a = WhiteSpaceAllocator::new(cfg);
         // Huge number of rounds → estimate would explode; clamped at 50 ms.
         for k in 0..20 {
-            let _ = a.on_request(SimTime::from_millis(1 + k * 40));
+            let _ = a.on_request(SimTime::from_millis(1 + k * 40), &mut NoopSink);
         }
-        a.on_burst_end(SimTime::from_secs(1));
+        a.on_burst_end(SimTime::from_secs(1), &mut NoopSink);
         assert_eq!(a.estimate(), SimDuration::from_millis(50));
     }
 
@@ -802,13 +801,13 @@ mod tests {
             let mut now = SimTime::from_millis(1);
             for &r in &rounds {
                 for _ in 0..r {
-                    let ws = a.on_request(now);
+                    let ws = a.on_request(now, &mut NoopSink);
                     let cfg = a.config();
                     prop_assert!(ws >= cfg.min_white_space && ws <= cfg.max_white_space);
                     now += ws + SimDuration::from_millis(1);
                 }
                 now += SimDuration::from_millis(25);
-                a.on_burst_end(now);
+                a.on_burst_end(now, &mut NoopSink);
                 now += SimDuration::from_millis(100);
             }
         }

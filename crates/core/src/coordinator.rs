@@ -168,7 +168,7 @@ impl BicordCoordinator {
             return;
         }
         let now = detection.at;
-        let ws = self.allocator.on_request_obs(now, sink);
+        let ws = self.allocator.on_request(now, sink);
         self.reservations += 1;
         sink.emit(&TraceEvent::Reservation {
             t_us: now.as_micros(),
@@ -191,7 +191,7 @@ impl BicordCoordinator {
     /// timer emits actions.
     pub fn on_timer<S: EventSink>(&mut self, now: SimTime, timer: CoordinatorTimer, sink: &mut S) {
         let CoordinatorTimer::BurstEnd = timer;
-        self.allocator.on_burst_end_obs(now, sink);
+        self.allocator.on_burst_end(now, sink);
     }
 
     /// Resets the detector's sliding window (e.g. when the CSI stream

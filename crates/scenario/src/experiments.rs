@@ -898,7 +898,7 @@ pub struct MultiNodeRow {
 /// ZigBee pairs (A: 5-packet bursts, C: 10-packet, D: 3-packet) under
 /// `scheme`. The single Wi-Fi-side estimate must serve the union of the
 /// requests. This is the per-cell entry point the `bicord-sweep`
-/// scenario registry drives; [`multi_node`] is its deprecated grid shim.
+/// scenario registry drives.
 pub fn multi_node_cell(
     scheme: Scheme,
     n_nodes: usize,
@@ -943,24 +943,6 @@ pub fn multi_node_cell(
             .collect(),
         per_node_delay_ms: r.per_node.iter().map(|n| n.mean_delay_ms).collect(),
     }
-}
-
-/// Sec. VI's "multiple ZigBee nodes with different traffic pattern" as a
-/// hard-wired 2 × 3 grid.
-#[deprecated(
-    since = "0.1.0",
-    note = "drive the \"multi_node\" entry of the bicord-sweep ScenarioRegistry instead"
-)]
-pub fn multi_node(seed: u64, duration: SimDuration) -> Vec<MultiNodeRow> {
-    let mut jobs = Vec::new();
-    for scheme in [Scheme::Bicord, Scheme::Ecc(30)] {
-        for n_nodes in 1..=3usize {
-            jobs.push((scheme, n_nodes));
-        }
-    }
-    parallel_map(jobs, move |(scheme, n_nodes)| {
-        multi_node_cell(scheme, n_nodes, seed, duration)
-    })
 }
 
 // ---------------------------------------------------------------------

@@ -30,10 +30,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// All internal callers have migrated off the deprecated
-// `CoexistenceSim::new_unchecked` shim; deny keeps it that way while the
-// shim itself survives at the public API boundary.
-#![deny(deprecated)]
 
 pub mod config;
 pub mod dense_city;

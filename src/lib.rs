@@ -68,7 +68,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(deprecated)]
 
 pub use bicord_analyze as analyze;
 pub use bicord_core as core;
