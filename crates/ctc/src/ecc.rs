@@ -153,6 +153,11 @@ impl EccZigbeeClient {
         }
     }
 
+    /// The client's configuration.
+    pub fn config(&self) -> EccConfig {
+        self.config
+    }
+
     /// Packets waiting for a white space.
     pub fn backlog(&self) -> usize {
         self.pending.len()
