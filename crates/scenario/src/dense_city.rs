@@ -257,8 +257,11 @@ impl DenseCityConfig {
         while let Some((now, event)) = queue.pop() {
             match event {
                 CityEvent::Arrival(idx) => {
+                    // Events pop in time order, so every later event is
+                    // past the horizon too; the transmission ends still
+                    // queued change no counter.
                     if now >= end_at {
-                        continue;
+                        break;
                     }
                     let d = &devices[idx as usize];
                     results.attempts += 1;
