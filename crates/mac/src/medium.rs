@@ -57,8 +57,8 @@ use bicord_sim::{stream_rng, SeedDomain, SimTime};
 
 use crate::frames::{DeviceId, Payload};
 
-/// Hot-path maps use the sim's SplitMix-style [`SeqHasher`]: keys are
-/// small dense integers (ids), never adversarial.
+/// The link-budget and shadowing maps use the sim's SplitMix-style
+/// [`SeqHasher`]: keys are small dense integers (ids), never adversarial.
 type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<SeqHasher>>;
 
 /// Distinct `(tx band, listening band)` pairs per scenario are a small
@@ -77,9 +77,30 @@ const BAND_ID_CAP: usize = 64;
 /// fractions are computed on every use and counted as memo misses.
 const UNINTERNED: BandId = BandId::MAX;
 
+/// `Medium::devices` entry of a raw id that names no registered device.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Low bits of a [`TxId`] holding the transmission's slab slot.
+const SLOT_BITS: u32 = 24;
+
 /// Identifies one transmission placed on the medium.
+///
+/// The high 40 bits hold the begin sequence and the low 24 the slab
+/// slot, so ids sort in begin order and a by-id lookup is one index plus
+/// an id check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(u64);
+
+impl TxId {
+    /// Marks a vacant slab slot. Never handed out: the sequence stops short
+    /// of the all-ones value.
+    const VACANT: TxId = TxId(u64::MAX);
+
+    /// The slab slot of the transmission.
+    fn slot(self) -> usize {
+        (self.0 & ((1 << SLOT_BITS) - 1)) as usize
+    }
+}
 
 /// One transmission occupying the medium for `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -215,50 +236,44 @@ impl Default for ChannelConfig {
 /// ```
 pub struct Medium {
     config: ChannelConfig,
-    /// Device id → slot into the position SoA below.
-    devices: FastMap<DeviceId, u32>,
+    /// Slot in the position SoA per raw device id ([`NO_SLOT`] for ids
+    /// never registered). Its length follows the largest raw id seen.
+    devices: Vec<u32>,
     /// Live position per device slot (struct-of-arrays: the only
     /// per-device field the query hot loop touches).
     positions: Vec<Point>,
-    /// Active transmissions, in slab order (**not** id order: removal is
-    /// `swap_remove`). Queries never iterate this directly — they sort
-    /// their audible candidates by id, so evaluation order stays
-    /// deterministic regardless of slab layout.
+    /// Transmission slab. A slot keeps its place for the transmission's
+    /// whole life; an ended one is marked [`TxId::VACANT`] and goes on
+    /// `free`. Queries never iterate this directly — they sort their
+    /// audible candidates by id, so evaluation order stays deterministic
+    /// regardless of slot assignment.
     active: Vec<Transmission>,
-    /// Transmission id → slab index, for the public by-id entry points
-    /// (queries get the index from the grid entry instead).
-    slab: FastMap<TxId, u32>,
-    /// Hot per-transmission fields, parallel to `active`: the cull loop
-    /// reads these (time window, source slot, hearing radius, grid cell)
-    /// without pulling the full `Transmission` into cache.
-    hot: Vec<TxHot>,
-    /// Uniform grid over device positions: cell key → member
-    /// transmissions (those whose hearing radius fits one cell), each
-    /// with its current slab index.
-    grid: FastMap<u64, Vec<(TxId, u32)>>,
-    /// Transmissions louder than one grid cell — always visited. Same
-    /// `(id, slab index)` entries as `grid`.
-    loud: Vec<(TxId, u32)>,
-    /// Grid cell edge length, metres (infinite when the configured radii
-    /// are unbounded, which degenerates to a single cell = no culling).
-    cell_size_m: f64,
+    /// Per-slot fields of the by-id paths, parallel to `active`.
+    meta: Vec<TxMeta>,
+    /// Vacant slots of `active`, reused last-freed first.
+    free: Vec<u32>,
+    /// Number of live (non-vacant) slots.
+    live: usize,
+    /// Per-slot fading draws, parallel to `active`: the `(observer, dB)`
+    /// realisations drawn so far for the slot's transmission, in
+    /// first-query order. Cleared when the transmission ends; the next
+    /// transmission in the slot reuses the list, so the steady state
+    /// never allocates.
+    fading: Vec<Vec<(DeviceId, f64)>>,
+    /// Uniform grid over device positions: the transmissions whose
+    /// hearing radius fits one cell, bucketed by cell.
+    cells: CellTable,
+    /// Transmissions louder than one grid cell — always visited.
+    loud: Vec<Entry>,
     /// Reusable query scratch: the audible candidates of the current
-    /// query as `(id, slab index, band overlap fraction)`.
-    audible: Vec<(TxId, u32, f64)>,
+    /// query as `(id, band overlap fraction)`, in its first slots.
+    audible: Vec<(TxId, f64)>,
     grid_stats: MediumGridStats,
-    next_tx: u64,
+    /// Begin sequence of the next transmission.
+    next_seq: u64,
     /// Static shadowing per unordered device pair, dB. The source of
     /// truth for realisations; `link_cache` only mirrors it.
     shadowing: FastMap<(DeviceId, DeviceId), f64>,
-    /// Per-transmission fading draws, parallel to `active`: the
-    /// `(observer, dB)` realisations drawn so far for that transmission,
-    /// in first-query order. Moves with its slot on `swap_remove`, so
-    /// ending a transmission drops its draws in O(1).
-    fading: Vec<Vec<(DeviceId, f64)>>,
-    /// Cleared fading lists of ended transmissions, reused by later
-    /// `begin_transmission` calls so the steady state never allocates.
-    /// Holds at most the peak number of concurrent transmissions.
-    fading_free: Vec<Vec<(DeviceId, f64)>>,
     /// Memoized `(path-loss dB, shadowing dB)` per directed
     /// `(source, observer)` pair at the devices' *current* positions.
     /// Invalidated whenever either endpoint moves.
@@ -309,31 +324,43 @@ pub struct MediumGridStats {
     pub tx_out_of_range: u64,
 }
 
-/// Hot per-transmission fields, parallel to `Medium::active`.
-///
-/// Queries (`sensed_power`, `interference_against`) read *only* this
-/// array, at the slab index their grid entries carry — duplicating
-/// `power` and an interned band id here keeps the fat `Transmission`
-/// slab (with its payload) out of the query working set, which is what
-/// keeps per-query cost flat at 10k+ devices.
+/// Per-slot fields of the by-id paths (`received_power`,
+/// `received_power_in_band`, `end_transmission`, moves), parallel to
+/// `Medium::active`. Queries read bucket [`Entry`]s instead.
 #[derive(Debug, Clone, Copy)]
-struct TxHot {
-    start: SimTime,
-    end: SimTime,
-    source: DeviceId,
-    power: Dbm,
+struct TxMeta {
     /// Interned id of the transmission's band.
     band: BandId,
-    /// Slot of `source` in the position SoA.
+    /// Slot of the source in the position SoA.
     source_slot: u32,
     /// Squared hearing radius, m²; links farther than this couple zero.
     radius_sq_m2: f64,
-    /// Grid cell the transmission is registered in (meaningless when
-    /// `loud`). Stored so moves and removal rebucket the *registered*
-    /// cell even if the source has since crossed a boundary.
+    /// Cell key the transmission is registered under, or `None` on the
+    /// loud list. Stored so moves and removal find the *registered*
+    /// bucket even if the source has since crossed a boundary.
+    cell: Option<u64>,
+}
+
+/// One transmission in a grid bucket or on the loud list, carrying every
+/// field the candidate filter reads, so a query never leaves the bucket
+/// before it knows a candidate is audible.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// The transmission (its low bits are the slab slot).
+    id: TxId,
+    start: SimTime,
+    end: SimTime,
+    source: DeviceId,
+    /// Interned id of the transmission's band.
+    band: BandId,
+    /// Squared hearing radius, m².
+    radius_sq_m2: f64,
+    /// The source's current position, kept equal to its
+    /// `Medium::positions` entry by every move.
+    pos: Point,
+    /// Full key of the registered cell; buckets hold every cell that
+    /// wraps onto them, and queries skip the other cells' entries.
     cell: u64,
-    /// On the always-visited overflow list instead of the grid.
-    loud: bool,
 }
 
 /// Grid coordinate of `v` under `cell_size` (saturating one step inside
@@ -344,19 +371,101 @@ fn cell_coord(v: f64, cell_size: f64) -> i32 {
     q.clamp(f64::from(i32::MIN + 1), f64::from(i32::MAX - 1)) as i32
 }
 
-/// Packs two grid coordinates into one hashable key.
+/// Packs two grid coordinates into one cell key.
 fn cell_key(cx: i32, cy: i32) -> u64 {
     (u64::from(cx as u32) << 32) | u64::from(cy as u32)
 }
 
-/// Whether the transmitter in slot `a` is within `radius_sq` of the
-/// observer in slot `b` — the exact per-link audibility cutoff.
-fn within_hearing(positions: &[Point], a: u32, b: u32, radius_sq: f64) -> bool {
-    let pa = positions[a as usize];
-    let pb = positions[b as usize];
-    let dx = pa.x - pb.x;
-    let dy = pa.y - pb.y;
+/// Whether a transmitter at `source` is within `radius_sq` of an
+/// observer at `observer` — the exact per-link audibility cutoff.
+fn in_range(source: Point, observer: Point, radius_sq: f64) -> bool {
+    let dx = source.x - observer.x;
+    let dy = source.y - observer.y;
     dx * dx + dy * dy <= radius_sq
+}
+
+/// The grid's buckets: a power-of-two torus of cells, at least 4 × 4
+/// (so a 3×3 query window never meets the same bucket twice) and sized
+/// from the device count, not from the area the devices span. Cell
+/// `(cx, cy)` lives in bucket `(cx mod side, cy mod side)`; its entries
+/// carry the full cell key, so cells that wrap onto one bucket stay
+/// apart.
+struct CellTable {
+    buckets: Vec<Vec<Entry>>,
+    /// `log2` of the torus side.
+    bits: u32,
+    /// Cell edge length, metres (infinite when the configured radii are
+    /// unbounded, which degenerates to a single cell = no culling).
+    cell_size_m: f64,
+}
+
+impl CellTable {
+    /// Smallest `log2` side the torus takes.
+    const MIN_BITS: u32 = 2;
+
+    /// Devices per bucket the torus is sized for. Wherever culling
+    /// matters a cell (one worst-case hearing radius across) holds
+    /// several devices — about ten in `dense_city` — so this keeps
+    /// roughly one bucket per occupied cell, and the table small: at
+    /// 10k devices one bucket per device measured 0.5 MiB more peak RSS.
+    const DEVICES_PER_BUCKET: usize = 16;
+
+    fn new(cell_size_m: f64) -> Self {
+        CellTable {
+            buckets: vec![Vec::new(); 1 << (2 * Self::MIN_BITS)],
+            bits: Self::MIN_BITS,
+            cell_size_m,
+        }
+    }
+
+    /// The key of the cell holding `p`.
+    fn key_of(&self, p: Point) -> u64 {
+        cell_key(
+            cell_coord(p.x, self.cell_size_m),
+            cell_coord(p.y, self.cell_size_m),
+        )
+    }
+
+    /// The 3×3 cells around `p` as `(bucket index, cell key)`, in
+    /// visiting order: rows of ascending x, by ascending y.
+    fn window(&self, p: Point) -> [(usize, u64); 9] {
+        let cx = cell_coord(p.x, self.cell_size_m);
+        let cy = cell_coord(p.y, self.cell_size_m);
+        std::array::from_fn(|k| {
+            let (x, y) = (cx + k as i32 % 3 - 1, cy + k as i32 / 3 - 1);
+            (self.index(x, y), cell_key(x, y))
+        })
+    }
+
+    /// The bucket index of the cell at `(cx, cy)`.
+    fn index(&self, cx: i32, cy: i32) -> usize {
+        let mask = (1u32 << self.bits) - 1;
+        (((cy as u32 & mask) << self.bits) | (cx as u32 & mask)) as usize
+    }
+
+    /// The bucket holding cell `key`.
+    fn bucket_mut(&mut self, key: u64) -> &mut Vec<Entry> {
+        let i = self.index((key >> 32) as u32 as i32, key as u32 as i32);
+        &mut self.buckets[i]
+    }
+
+    /// Grows the torus until it has at least one bucket per
+    /// [`Self::DEVICES_PER_BUCKET`] devices, moving every entry to its
+    /// bucket in the larger table.
+    fn fit(&mut self, devices: usize) {
+        let mut bits = self.bits;
+        while (1usize << (2 * bits)) < devices.div_ceil(Self::DEVICES_PER_BUCKET) {
+            bits += 1;
+        }
+        if bits == self.bits {
+            return;
+        }
+        let old = std::mem::replace(&mut self.buckets, vec![Vec::new(); 1 << (2 * bits)]);
+        self.bits = bits;
+        for entry in old.into_iter().flatten() {
+            self.bucket_mut(entry.cell).push(entry);
+        }
+    }
 }
 
 /// Interned bands and the memoized spectral overlap fraction of every
@@ -447,20 +556,19 @@ impl Medium {
             .max(1.0);
         Medium {
             config,
-            devices: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
+            devices: Vec::with_capacity(64),
             positions: Vec::with_capacity(64),
             active: Vec::with_capacity(16),
-            slab: FastMap::with_capacity_and_hasher(16, BuildHasherDefault::default()),
-            hot: Vec::with_capacity(16),
-            grid: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
+            meta: Vec::with_capacity(16),
+            free: Vec::with_capacity(16),
+            live: 0,
+            fading: Vec::with_capacity(16),
+            cells: CellTable::new(cell_size_m),
             loud: Vec::new(),
-            cell_size_m,
             audible: Vec::with_capacity(16),
             grid_stats: MediumGridStats::default(),
-            next_tx: 0,
+            next_seq: 0,
             shadowing: FastMap::default(),
-            fading: Vec::with_capacity(16),
-            fading_free: Vec::new(),
             link_cache: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
             bands: BandTable::default(),
             stats: MediumCacheStats::default(),
@@ -469,15 +577,21 @@ impl Medium {
         }
     }
 
+    /// Slot of a registered device in the position SoA, if registered.
+    fn try_slot(&self, id: DeviceId) -> Option<u32> {
+        self.devices
+            .get(id.raw() as usize)
+            .copied()
+            .filter(|&slot| slot != NO_SLOT)
+    }
+
     /// Slot of a registered device in the position SoA.
     ///
     /// # Panics
     ///
     /// Panics if the device is unknown.
     fn slot_of(&self, id: DeviceId) -> u32 {
-        *self
-            .devices
-            .get(&id)
+        self.try_slot(id)
             .unwrap_or_else(|| panic!("unknown device {id}"))
     }
 
@@ -485,26 +599,34 @@ impl Medium {
     ///
     /// Re-registering an existing device moves it (used by mobility).
     pub fn add_device(&mut self, id: DeviceId, position: Point) {
-        if let Some(&slot) = self.devices.get(&id) {
+        if let Some(slot) = self.try_slot(id) {
             // A re-registration is a move: cached path losses involving
             // this device are stale (shadowing realisations persist until
             // `invalidate_shadowing`, exactly as before the cache), and
-            // the device's live transmissions rebucket in the same step.
+            // the device's live transmissions follow in the same step.
             self.move_device(slot, position);
             self.drop_link_cache(id);
         } else {
-            let slot = u32::try_from(self.positions.len()).expect("device slots exhausted");
-            self.devices.insert(id, slot);
+            let slot = u32::try_from(self.positions.len())
+                .ok()
+                .filter(|&slot| slot != NO_SLOT)
+                .expect("device slots exhausted");
+            let raw = id.raw() as usize;
+            if raw >= self.devices.len() {
+                self.devices.resize(raw + 1, NO_SLOT);
+            }
+            self.devices[raw] = slot;
             self.positions.push(position);
+            self.cells.fit(self.positions.len());
         }
     }
 
     /// Moves a device.
     ///
     /// Cached link budgets touching the device are dropped (path loss is
-    /// position-dependent) and the device's live transmissions rebucket
-    /// into their new grid cell in the same atomic step; its shadowing
-    /// realisations persist until [`Medium::invalidate_shadowing`].
+    /// position-dependent) and the device's live transmissions follow it
+    /// (new source position, new grid cell) in the same atomic step; its
+    /// shadowing realisations persist until [`Medium::invalidate_shadowing`].
     ///
     /// # Panics
     ///
@@ -515,28 +637,33 @@ impl Medium {
         self.drop_link_cache(id);
     }
 
-    /// Updates a device slot's position and rebuckets its live
-    /// transmissions whose registered grid cell no longer matches.
+    /// Updates a device slot's position, and the source position of each
+    /// of its live transmissions, rebucketing those whose registered
+    /// grid cell no longer matches.
     fn move_device(&mut self, slot: u32, position: Point) {
         self.positions[slot as usize] = position;
-        let new_cell = cell_key(
-            cell_coord(position.x, self.cell_size_m),
-            cell_coord(position.y, self.cell_size_m),
-        );
-        for idx in 0..self.hot.len() {
-            let h = self.hot[idx];
-            if h.source_slot != slot || h.loud || h.cell == new_cell {
+        let new_cell = self.cells.key_of(position);
+        for s in 0..self.meta.len() {
+            let id = self.active[s].id;
+            let meta = self.meta[s];
+            if meta.source_slot != slot || id == TxId::VACANT {
                 continue;
             }
-            let id = self.active[idx].id;
-            let members = self.bucket_mut(&h);
-            let at = members
+            let bucket = match meta.cell {
+                None => &mut self.loud,
+                Some(cell) => self.cells.bucket_mut(cell),
+            };
+            let at = bucket
                 .iter()
-                .position(|&(t, _)| t == id)
+                .position(|e| e.id == id)
                 .expect("grid member desync");
-            let entry = members.swap_remove(at);
-            self.grid.entry(new_cell).or_default().push(entry);
-            self.hot[idx].cell = new_cell;
+            bucket[at].pos = position;
+            if meta.cell.is_some_and(|cell| cell != new_cell) {
+                let mut entry = bucket.swap_remove(at);
+                entry.cell = new_cell;
+                self.cells.bucket_mut(new_cell).push(entry);
+                self.meta[s].cell = Some(new_cell);
+            }
         }
     }
 
@@ -559,7 +686,8 @@ impl Medium {
     ///
     /// # Panics
     ///
-    /// Panics if `end <= start` or the source device is unknown.
+    /// Panics if `end <= start`, the source device is unknown, or the
+    /// medium has handed out every transmission id it can.
     pub fn begin_transmission(
         &mut self,
         source: DeviceId,
@@ -570,15 +698,49 @@ impl Medium {
         payload: Payload,
     ) -> TxId {
         assert!(end > start, "transmission must have positive duration");
-        let slot = *self
-            .devices
-            .get(&source)
+        let source_slot = self
+            .try_slot(source)
             .unwrap_or_else(|| panic!("unknown source device {source}"));
-        let id = TxId(self.next_tx);
-        self.next_tx += 1;
-        let idx = self.active.len() as u32;
-        self.slab.insert(id, idx);
-        self.active.push(Transmission {
+        assert!(
+            self.next_seq < u64::MAX >> SLOT_BITS,
+            "transmission id sequence exhausted"
+        );
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = self.active.len() as u32;
+            assert!(slot < 1 << SLOT_BITS, "transmission slots exhausted");
+            slot
+        });
+        let id = TxId((self.next_seq << SLOT_BITS) | u64::from(slot));
+        self.next_seq += 1;
+        self.live += 1;
+        let radius = self
+            .config
+            .culling
+            .hearing_radius_m(&self.config.path_loss, power);
+        let pos = self.positions[source_slot as usize];
+        let cell = self.cells.key_of(pos);
+        let band_id = self.bands.intern(&band);
+        let entry = Entry {
+            id,
+            start,
+            end,
+            source,
+            band: band_id,
+            radius_sq_m2: radius * radius,
+            pos,
+            cell,
+        };
+        // Radius ≤ one cell ⇒ the 3×3 window around any in-range observer
+        // covers this cell; louder transmissions go on the overflow list.
+        // (Neither side is ever NaN: radii and cell sizes are `max`-ed
+        // non-negative, possibly infinite.)
+        let loud = radius > self.cells.cell_size_m;
+        if loud {
+            self.loud.push(entry);
+        } else {
+            self.cells.bucket_mut(cell).push(entry);
+        }
+        let tx = Transmission {
             id,
             source,
             power,
@@ -586,54 +748,28 @@ impl Medium {
             start,
             end,
             payload,
-        });
-        let radius = self
-            .config
-            .culling
-            .hearing_radius_m(&self.config.path_loss, power);
-        let pos = self.positions[slot as usize];
-        let cell = cell_key(
-            cell_coord(pos.x, self.cell_size_m),
-            cell_coord(pos.y, self.cell_size_m),
-        );
-        // Radius ≤ one cell ⇒ the 3×3 window around any in-range observer
-        // covers this cell; louder transmissions go on the overflow list.
-        // (Neither side is ever NaN: radii and cell sizes are `max`-ed
-        // non-negative, possibly infinite.)
-        let loud = radius > self.cell_size_m;
-        if loud {
-            self.loud.push((id, idx));
+        };
+        let meta = TxMeta {
+            band: band_id,
+            source_slot,
+            radius_sq_m2: entry.radius_sq_m2,
+            cell: (!loud).then_some(cell),
+        };
+        if slot as usize == self.active.len() {
+            self.active.push(tx);
+            self.meta.push(meta);
+            self.fading.push(Vec::new());
         } else {
-            self.grid.entry(cell).or_default().push((id, idx));
+            self.active[slot as usize] = tx;
+            self.meta[slot as usize] = meta;
         }
-        self.hot.push(TxHot {
-            start,
-            end,
-            source,
-            power,
-            band: self.bands.intern(&band),
-            source_slot: slot,
-            radius_sq_m2: radius * radius,
-            cell,
-            loud,
-        });
-        self.fading.push(self.fading_free.pop().unwrap_or_default());
         id
     }
 
-    /// Position of `id` in the slab, if active.
+    /// Slab slot of `id`, if active.
     fn slab_index(&self, id: TxId) -> Option<usize> {
-        self.slab.get(&id).map(|&i| i as usize)
-    }
-
-    /// The bucket a transmission is registered in: the loud list or its
-    /// grid cell.
-    fn bucket_mut(&mut self, h: &TxHot) -> &mut Vec<(TxId, u32)> {
-        if h.loud {
-            &mut self.loud
-        } else {
-            self.grid.get_mut(&h.cell).expect("grid cell desync")
-        }
+        let slot = id.slot();
+        (self.active.get(slot)?.id == id).then_some(slot)
     }
 
     /// Removes a finished transmission and returns it.
@@ -643,35 +779,25 @@ impl Medium {
     /// Panics if the transmission is not active (double removal is a
     /// scenario bookkeeping bug worth failing loudly on).
     pub fn end_transmission(&mut self, id: TxId) -> Transmission {
-        let idx = self
+        let slot = self
             .slab_index(id)
             .unwrap_or_else(|| panic!("transmission {id:?} not active"));
-        self.slab.remove(&id);
-        let tx = self.active.swap_remove(idx);
-        let h = self.hot.swap_remove(idx);
-        let mut fading = self.fading.swap_remove(idx);
-        fading.clear();
-        self.fading_free.push(fading);
+        let tx = self.active[slot];
+        self.active[slot].id = TxId::VACANT;
+        self.fading[slot].clear();
+        self.free.push(slot as u32);
+        self.live -= 1;
         // Unbucket (order within a bucket is irrelevant — queries sort
         // their audible candidates by id).
-        let members = self.bucket_mut(&h);
-        let at = members
+        let bucket = match self.meta[slot].cell {
+            None => &mut self.loud,
+            Some(cell) => self.cells.bucket_mut(cell),
+        };
+        let at = bucket
             .iter()
-            .position(|&(t, _)| t == id)
+            .position(|e| e.id == id)
             .expect("grid member desync");
-        members.swap_remove(at);
-        // The former tail now lives at `idx`; repoint its slab and bucket
-        // entries.
-        if let Some(moved) = self.active.get(idx).map(|t| t.id) {
-            self.slab.insert(moved, idx as u32);
-            let moved_hot = self.hot[idx];
-            let entry = self
-                .bucket_mut(&moved_hot)
-                .iter_mut()
-                .find(|(t, _)| *t == moved)
-                .expect("grid member desync");
-            entry.1 = idx as u32;
-        }
+        bucket.swap_remove(at);
         tx
     }
 
@@ -685,12 +811,12 @@ impl Medium {
     /// draws, f64 summation) must sort the snapshot by [`Transmission::id`]
     /// themselves.
     pub fn active_transmissions(&self) -> impl Iterator<Item = &Transmission> {
-        self.active.iter()
+        self.active.iter().filter(|t| t.id != TxId::VACANT)
     }
 
     /// Number of active transmissions.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.live
     }
 
     /// The static shadowing offset (dB) of the link between two devices.
@@ -705,11 +831,11 @@ impl Medium {
     }
 
     /// The fading offset (dB) `observer` experiences for the
-    /// transmission at slab index `idx`; drawn on the first query of the
+    /// transmission in slab slot `slot`; drawn on the first query of the
     /// pair and cached. A transmission has few observers, so a linear
     /// scan of its list beats hashing.
-    fn tx_fading(&mut self, idx: usize, observer: DeviceId) -> f64 {
-        let draws = &mut self.fading[idx];
+    fn tx_fading(&mut self, slot: usize, observer: DeviceId) -> f64 {
+        let draws = &mut self.fading[slot];
         if let Some(&(_, fading)) = draws.iter().find(|(o, _)| *o == observer) {
             return fading;
         }
@@ -719,19 +845,26 @@ impl Medium {
     }
 
     /// The memoized `(path-loss dB, shadowing dB)` budget of the directed
-    /// link `source -> observer` at the devices' current positions.
+    /// link `source -> observer` (in position slots `src_slot` and
+    /// `obs_slot`) at the devices' current positions.
     ///
     /// A miss recomputes path loss from the live positions and reads (or
     /// lazily draws) the link's shadowing realisation — in exactly the
     /// order the uncached query used, so RNG consumption is unchanged.
-    fn link_budget(&mut self, source: DeviceId, observer: DeviceId) -> (f64, f64) {
+    fn link_budget(
+        &mut self,
+        source: DeviceId,
+        observer: DeviceId,
+        src_slot: u32,
+        obs_slot: u32,
+    ) -> (f64, f64) {
         if let Some(&cached) = self.link_cache.get(&(source, observer)) {
             self.stats.link_hits += 1;
             return cached;
         }
         self.stats.link_misses += 1;
-        let src_pos = self.position(source);
-        let obs_pos = self.position(observer);
+        let src_pos = self.positions[src_slot as usize];
+        let obs_pos = self.positions[obs_slot as usize];
         let pl_db = self
             .config
             .path_loss
@@ -754,7 +887,7 @@ impl Medium {
     /// The grid cell edge length, metres (the worst-case hearing radius
     /// under the configured culling parameters).
     pub fn cell_size_m(&self) -> f64 {
-        self.cell_size_m
+        self.cells.cell_size_m
     }
 
     /// The summed in-band power of the candidates `observer` (in
@@ -763,11 +896,13 @@ impl Medium {
     ///
     /// Gathers the 3×3 cell neighbourhood plus the loud overflow list and
     /// filters the candidates *unsorted*, rejecting everything that
-    /// couples exactly zero without touching an RNG stream, in this
-    /// order: `keep` (time window, own or excluded source), zero band
-    /// overlap (one memo hit/miss per candidate reaching it), then the
-    /// hearing radius (counted in `tx_out_of_range`). Only the audible
-    /// survivors are sorted by [`TxId`] and evaluated, so lazy
+    /// couples exactly zero without touching an RNG stream: `keep` (time
+    /// window, own or excluded source) first, then — only for the kept —
+    /// the band overlap (one memo hit/miss each) and the hearing radius
+    /// (counted in `tx_out_of_range` when the band overlaps). Every kept
+    /// candidate is written to the scratch; only the audible ones advance
+    /// its length, so the band and range outcomes never branch. The
+    /// audible prefix is then sorted by [`TxId`] and evaluated, so lazy
     /// shadowing/fading draws and the f64 summation happen in the same
     /// ascending-id order a full-slab scan uses — the dropped candidates
     /// are exactly that scan's zero terms.
@@ -776,67 +911,73 @@ impl Medium {
         observer: DeviceId,
         obs_slot: u32,
         listening: &Band,
-        keep: impl Fn(TxId, &TxHot) -> bool,
+        keep: impl Fn(&Entry) -> bool,
     ) -> MilliWatt {
         let Medium {
             active,
-            hot,
-            grid,
+            cells,
             loud,
             positions,
             bands,
             stats,
             grid_stats,
             audible,
-            cell_size_m,
+            live,
             ..
         } = self;
-        audible.clear();
         let listen = bands.intern(listening);
-        let mut consider = |&(id, idx): &(TxId, u32)| {
-            let h = &hot[idx as usize];
-            if !keep(id, h) {
+        let obs = positions[obs_slot as usize];
+        let window = cells.window(obs);
+        // A bound on the candidates: the window's buckets plus the loud
+        // list.
+        let bound = loud.len()
+            + window
+                .iter()
+                .map(|&(bucket, _)| cells.buckets[bucket].len())
+                .sum::<usize>();
+        if audible.len() < bound {
+            audible.resize(bound, (TxId::VACANT, 0.0));
+        }
+        let mut heard_count = 0usize;
+        let mut out_of_range = 0u64;
+        let mut consider = |e: &Entry| {
+            if !keep(e) {
                 return;
             }
-            let tx_band = || active[idx as usize].band;
-            let overlap = bands.fraction(h.band, tx_band, listen, listening, stats);
-            if overlap <= 0.0 {
-                return;
-            }
-            if !within_hearing(positions, h.source_slot, obs_slot, h.radius_sq_m2) {
-                grid_stats.tx_out_of_range += 1;
-                return;
-            }
-            audible.push((id, idx, overlap));
+            let tx_band = || active[e.id.slot()].band;
+            let overlap = bands.fraction(e.band, tx_band, listen, listening, stats);
+            let near = in_range(e.pos, obs, e.radius_sq_m2);
+            // A NaN overlap (a zero-width band) counts as heard, as
+            // every other path's `overlap <= 0.0` rejection has it.
+            let heard = (overlap > 0.0) | overlap.is_nan();
+            audible[heard_count] = (e.id, overlap);
+            heard_count += usize::from(heard & near);
+            out_of_range += u64::from(heard & !near);
         };
-        let pos = positions[obs_slot as usize];
-        let cx = cell_coord(pos.x, *cell_size_m);
-        let cy = cell_coord(pos.y, *cell_size_m);
-        let mut cells = 0u64;
+        let mut visited = 0u64;
         let mut gathered = loud.len();
-        for dy in -1i32..=1 {
-            for dx in -1i32..=1 {
-                if let Some(members) = grid.get(&cell_key(cx + dx, cy + dy)) {
-                    if !members.is_empty() {
-                        cells += 1;
-                        gathered += members.len();
-                        members.iter().for_each(&mut consider);
-                    }
-                }
+        for &(bucket, key) in &window {
+            let mut here = 0;
+            for e in cells.buckets[bucket].iter().filter(|e| e.cell == key) {
+                here += 1;
+                consider(e);
             }
+            visited += u64::from(here > 0);
+            gathered += here;
         }
         loud.iter().for_each(&mut consider);
         grid_stats.queries += 1;
-        grid_stats.cells_visited += cells;
+        grid_stats.cells_visited += visited;
         grid_stats.tx_visited += gathered as u64;
-        grid_stats.tx_culled += (active.len() - gathered) as u64;
+        grid_stats.tx_culled += (*live - gathered) as u64;
+        grid_stats.tx_out_of_range += out_of_range;
 
-        audible.sort_unstable_by_key(|&(id, _, _)| id);
+        audible[..heard_count].sort_unstable_by_key(|&(id, _)| id);
         let audible = std::mem::take(&mut self.audible);
         let mut total = MilliWatt::ZERO;
-        for &(_, idx, overlap) in &audible {
+        for &(id, overlap) in &audible[..heard_count] {
             total += self
-                .budget_power(idx as usize, observer)
+                .budget_power(id.slot(), observer, obs_slot)
                 .to_milliwatt()
                 .scale(overlap);
         }
@@ -844,7 +985,7 @@ impl Medium {
         total
     }
 
-    /// [`Medium::received_power`] for a transmission at slab index `idx`
+    /// [`Medium::received_power`] for a transmission in slab slot `slot`
     /// observed from `obs_slot`.
     ///
     /// The arithmetic is kept in exactly the uncached form — `(power -
@@ -853,25 +994,27 @@ impl Medium {
     /// its hearing radius returns [`Dbm::FLOOR`] **before** touching the
     /// shadowing/fading streams: culling never shifts RNG draw order,
     /// it only removes draws both evaluation orders would skip.
-    fn received_power_at(&mut self, idx: usize, observer: DeviceId, obs_slot: u32) -> Dbm {
-        let h = self.hot[idx];
-        if h.source == observer {
+    fn received_power_at(&mut self, slot: usize, observer: DeviceId, obs_slot: u32) -> Dbm {
+        let m = self.meta[slot];
+        if self.active[slot].source == observer {
             return Dbm::FLOOR;
         }
-        if !within_hearing(&self.positions, h.source_slot, obs_slot, h.radius_sq_m2) {
+        let (src, obs) = (m.source_slot as usize, obs_slot as usize);
+        if !in_range(self.positions[src], self.positions[obs], m.radius_sq_m2) {
             self.grid_stats.tx_out_of_range += 1;
             return Dbm::FLOOR;
         }
-        self.budget_power(idx, observer)
+        self.budget_power(slot, observer, obs_slot)
     }
 
     /// The full stochastic link budget of an in-range, non-self link
     /// (callers perform both checks first).
-    fn budget_power(&mut self, idx: usize, observer: DeviceId) -> Dbm {
-        let h = self.hot[idx];
-        let (pl_db, shadow) = self.link_budget(h.source, observer);
-        let fading = self.tx_fading(idx, observer);
-        (h.power - pl_db) + shadow + fading
+    fn budget_power(&mut self, slot: usize, observer: DeviceId, obs_slot: u32) -> Dbm {
+        let Transmission { source, power, .. } = self.active[slot];
+        let src_slot = self.meta[slot].source_slot;
+        let (pl_db, shadow) = self.link_budget(source, observer, src_slot, obs_slot);
+        let fading = self.tx_fading(slot, observer);
+        (power - pl_db) + shadow + fading
     }
 
     /// Power of transmission `tx` received by `observer`, before any
@@ -886,11 +1029,11 @@ impl Medium {
     ///
     /// Panics if the transmission or observer is unknown.
     pub fn received_power(&mut self, tx: TxId, observer: DeviceId) -> Dbm {
-        let idx = self
+        let slot = self
             .slab_index(tx)
             .unwrap_or_else(|| panic!("transmission {tx:?} not active"));
         let obs_slot = self.slot_of(observer);
-        self.received_power_at(idx, observer, obs_slot)
+        self.received_power_at(slot, observer, obs_slot)
     }
 
     /// Power of transmission `tx` coupled into `observer`'s `listening`
@@ -908,30 +1051,31 @@ impl Medium {
         observer: DeviceId,
         listening: &Band,
     ) -> MilliWatt {
-        let idx = self
+        let slot = self
             .slab_index(tx)
             .unwrap_or_else(|| panic!("transmission {tx:?} not active"));
         let obs_slot = self.slot_of(observer);
         // Zero band overlap is checked first, as in the query loop. A
         // device's own transmission couples the floor power, scaled by
         // the overlap.
-        let h = self.hot[idx];
+        let m = self.meta[slot];
         let listen = self.bands.intern(listening);
-        let tx_band = || self.active[idx].band;
+        let tx_band = || self.active[slot].band;
         let overlap = self
             .bands
-            .fraction(h.band, tx_band, listen, listening, &mut self.stats);
+            .fraction(m.band, tx_band, listen, listening, &mut self.stats);
         if overlap <= 0.0 {
             return MilliWatt::ZERO;
         }
-        if h.source == observer {
+        if self.active[slot].source == observer {
             return Dbm::FLOOR.to_milliwatt().scale(overlap);
         }
-        if !within_hearing(&self.positions, h.source_slot, obs_slot, h.radius_sq_m2) {
+        let (src, obs) = (m.source_slot as usize, obs_slot as usize);
+        if !in_range(self.positions[src], self.positions[obs], m.radius_sq_m2) {
             self.grid_stats.tx_out_of_range += 1;
             return MilliWatt::ZERO;
         }
-        self.budget_power(idx, observer)
+        self.budget_power(slot, observer, obs_slot)
             .to_milliwatt()
             .scale(overlap)
     }
@@ -954,11 +1098,11 @@ impl Medium {
         exclude_source: Option<DeviceId>,
     ) -> MilliWatt {
         let obs_slot = self.slot_of(observer);
-        self.audible_power(observer, obs_slot, listening, |_, h| {
-            h.start <= now
-                && h.end > now
-                && h.source != observer
-                && Some(h.source) != exclude_source
+        self.audible_power(observer, obs_slot, listening, |e| {
+            e.start <= now
+                && e.end > now
+                && e.source != observer
+                && Some(e.source) != exclude_source
         })
     }
 
@@ -978,10 +1122,10 @@ impl Medium {
         let sidx = self
             .slab_index(signal)
             .unwrap_or_else(|| panic!("transmission {signal:?} not active"));
-        let (s_start, s_end) = (self.hot[sidx].start, self.hot[sidx].end);
+        let (s_start, s_end) = (self.active[sidx].start, self.active[sidx].end);
         let obs_slot = self.slot_of(observer);
-        self.audible_power(observer, obs_slot, listening, |id, h| {
-            id != signal && h.source != observer && h.start < s_end && h.end > s_start
+        self.audible_power(observer, obs_slot, listening, |e| {
+            e.id != signal && e.source != observer && e.start < s_end && e.end > s_start
         })
     }
 
@@ -1029,27 +1173,22 @@ impl Medium {
         out: &mut Vec<Transmission>,
     ) {
         out.clear();
-        let obs_slot = self.slot_of(observer);
-        let mut consider = |&(_, idx): &(TxId, u32)| {
-            let t = &self.active[idx as usize];
-            let h = &self.hot[idx as usize];
+        let obs = self.positions[self.slot_of(observer) as usize];
+        let mut consider = |e: &Entry| {
+            let t = &self.active[e.id.slot()];
             if t.source != observer
                 && t.overlaps(from, to)
                 && listening.overlap_fraction(&t.band) > 0.0
-                && within_hearing(&self.positions, h.source_slot, obs_slot, h.radius_sq_m2)
+                && in_range(e.pos, obs, e.radius_sq_m2)
             {
                 out.push(*t);
             }
         };
-        let pos = self.positions[obs_slot as usize];
-        let cx = cell_coord(pos.x, self.cell_size_m);
-        let cy = cell_coord(pos.y, self.cell_size_m);
-        for dy in -1i32..=1 {
-            for dx in -1i32..=1 {
-                if let Some(members) = self.grid.get(&cell_key(cx + dx, cy + dy)) {
-                    members.iter().for_each(&mut consider);
-                }
-            }
+        for (bucket, key) in self.cells.window(obs) {
+            self.cells.buckets[bucket]
+                .iter()
+                .filter(|e| e.cell == key)
+                .for_each(&mut consider);
         }
         self.loud.iter().for_each(&mut consider);
         out.sort_by_key(|t| (t.start, t.id));
@@ -1079,8 +1218,8 @@ impl Medium {
 impl std::fmt::Debug for Medium {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Medium")
-            .field("devices", &self.devices.len())
-            .field("active", &self.active.len())
+            .field("devices", &self.positions.len())
+            .field("active", &self.live)
             .finish()
     }
 }
@@ -1886,12 +2025,71 @@ mod tests {
             m.end_transmission(id);
         }
         assert_eq!(fading_entries(&m), 0, "fading cache leaks");
-        assert!(m.fading.is_empty());
         assert!(
-            m.fading_free.len() <= peak,
-            "{} recycled lists for a peak of {peak} concurrent transmissions",
-            m.fading_free.len()
+            m.fading.len() <= peak,
+            "{} slots for a peak of {peak} concurrent transmissions",
+            m.fading.len()
         );
-        assert!(m.fading_free.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn a_reused_slot_gets_an_id_that_sorts_last() {
+        let mut m = setup();
+        let begin = |m: &mut Medium, source: u32| {
+            m.begin_transmission(
+                DeviceId::new(source),
+                Dbm::new(20.0),
+                wifi_band(),
+                SimTime::ZERO,
+                SimTime::from_millis(1),
+                wifi_data(),
+            )
+        };
+        let earlier: Vec<TxId> = (0..3).map(|s| begin(&mut m, s)).collect();
+        m.end_transmission(earlier[0]);
+        let reused = begin(&mut m, 1);
+        assert_eq!(reused.slot(), earlier[0].slot(), "the freed slot is reused");
+        assert!(
+            earlier.iter().all(|&id| id < reused),
+            "{earlier:?} vs {reused:?}"
+        );
+        assert!(m.transmission(earlier[0]).is_none(), "the old id is gone");
+        assert_eq!(m.transmission(reused).map(|t| t.id), Some(reused));
+        assert_eq!(m.active_count(), 3);
+    }
+
+    #[test]
+    fn cells_that_wrap_onto_one_bucket_stay_apart() {
+        let mut m = Medium::new(aggressive(), 8);
+        let cell = m.cell_size_m();
+        m.add_device(DeviceId::new(0), Point::new(cell * 0.5, cell * 0.5));
+        // Four cells east on the 4×4 torus: the observer's own bucket.
+        m.add_device(DeviceId::new(1), Point::new(cell * 4.5, cell * 0.5));
+        m.begin_transmission(
+            DeviceId::new(1),
+            Dbm::new(0.0),
+            wifi_band(),
+            SimTime::ZERO,
+            SimTime::from_millis(1),
+            wifi_data(),
+        );
+        let now = SimTime::from_micros(500);
+        assert_eq!(
+            m.sensed_power(DeviceId::new(0), &wifi_band(), now, None),
+            MilliWatt::ZERO
+        );
+        let s = m.grid_stats();
+        assert_eq!(
+            (s.cells_visited, s.tx_visited, s.tx_culled),
+            (0, 0, 1),
+            "{s:?}"
+        );
+        // Next to the transmitter it is heard again.
+        m.set_position(DeviceId::new(0), Point::new(cell * 4.5 + 3.0, cell * 0.5));
+        assert!(
+            m.sensed_power(DeviceId::new(0), &wifi_band(), now, None)
+                .value()
+                > 0.0
+        );
     }
 }

@@ -25,27 +25,30 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by those allocations (a realloc counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with` because the allocator can be entered during thread
     // teardown, after the TLS slot has been destroyed.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -59,6 +62,53 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn allocated_bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+/// The grid's memory follows the device count, not the area the devices
+/// span: devices strewn along a diagonal out to ±10⁸ m, millions of
+/// ~29 m cells apart, each with a live transmission in its own cell,
+/// allocate a bounded number of bytes per device (a table sized to the
+/// cells between them would need ~10¹³ cells for the first two alone).
+#[test]
+fn far_apart_devices_allocate_by_count_not_by_area() {
+    let config = ChannelConfig {
+        culling: CullingConfig {
+            max_tx_power: Dbm::new(0.0),
+            floor: Dbm::new(-80.0),
+            margin_db: 10.0,
+        },
+        ..ChannelConfig::default()
+    };
+    let band = Band::centered(2462.0, 20.0);
+    for devices in [2u32, 64, 1_024] {
+        let before = allocated_bytes();
+        let mut medium = Medium::new(config, 17);
+        for i in 0..devices {
+            let t = f64::from(i) / f64::from(devices - 1) * 2.0 - 1.0;
+            let id = DeviceId::new(i);
+            medium.add_device(id, Point::new(t * 1e8, t * 1e8));
+            medium.begin_transmission(
+                id,
+                Dbm::new(0.0),
+                band,
+                SimTime::ZERO,
+                SimTime::from_millis(1),
+                Payload::Noise,
+            );
+        }
+        let sensed = medium.sensed_power(DeviceId::new(0), &band, SimTime::from_micros(500), None);
+        assert_eq!(sensed.value(), 0.0, "every other device is out of range");
+        let bytes = allocated_bytes() - before;
+        let bound = 64 * 1024 + 2 * 1024 * u64::from(devices);
+        assert!(
+            bytes <= bound,
+            "{devices} devices allocated {bytes} bytes (bound {bound})"
+        );
+    }
 }
 
 #[test]

@@ -369,6 +369,18 @@ fn grid_coord() -> impl Strategy<Value = f64> + Clone {
     })
 }
 
+/// Coordinates for the wrap proptest: near ones, near ones shifted by
+/// whole multiples of four cells (which land on the same bucket of the
+/// five devices' 4×4 cell table), and far ones out to ±10⁸ m, millions
+/// of cells away.
+fn wrapping_coord() -> impl Strategy<Value = f64> + Clone {
+    (0u8..3, -3i32..=3, -60.0f64..60.0, -1e8f64..1e8).prop_map(|(pick, k, v, far)| match pick {
+        0 => v + f64::from(k) * 4.0 * aggressive_cell_m(),
+        1 => far,
+        _ => v,
+    })
+}
+
 fn op_strategy_with(
     coord: impl Strategy<Value = f64> + Clone + 'static,
 ) -> impl Strategy<Value = Op> {
@@ -615,6 +627,32 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The grid harness with devices moved out to ±10⁸ m and onto cells
+    /// that wrap onto one bucket of the cell table: entries of other
+    /// cells sharing a bucket must be skipped, never heard or counted,
+    /// so results and the RNG stream stay bit-identical to the
+    /// reference.
+    #[test]
+    fn wrapped_grid_equivalence(
+        seed in 0u64..1_000,
+        ops in proptest::collection::vec(op_strategy_with(wrapping_coord()), 1..80),
+    ) {
+        let (mut real, mut reference) = run_sequence_with(aggressive_config(), seed, &ops);
+        let probe = real.fading_draw(3.0);
+        let ref_probe = reference.fading_draw(3.0);
+        prop_assert_eq!(
+            probe.to_bits(),
+            ref_probe.to_bits(),
+            "fading RNG streams diverged with wrapped cells: {} vs {}",
+            probe,
+            ref_probe
+        );
+    }
+}
+
 /// Deterministic smoke case touching every op kind, so a cache regression
 /// fails here with a readable sequence even before proptest shrinks one.
 #[test]
@@ -774,12 +812,13 @@ fn churn_rebucket_composes_with_grid_culling() {
     );
 }
 
-/// Fading draws are stored per slab slot, and ending a transmission
-/// `swap_remove`s the tail into the freed slot: the moved transmission's
-/// cached draws must move with it. A draw left behind (or re-drawn) shows
-/// up as a changed received power and a desynchronized fading stream.
+/// Fading draws are stored per slab slot. Ending a transmission clears
+/// its slot's draws and a later transmission reuses the slot: the
+/// survivors keep their cached draws, and the newcomer draws afresh. A
+/// draw left behind (or re-drawn) shows up as a changed received power
+/// and a desynchronized fading stream.
 #[test]
-fn cached_fading_follows_a_swap_removed_transmission() {
+fn cached_fading_stays_with_its_transmission_across_slot_reuse() {
     let config = ChannelConfig::default();
     let mut real = Medium::new(config, 23);
     let mut reference = ReferenceMedium::new(config, 23);
@@ -814,22 +853,22 @@ fn cached_fading_follows_a_swap_removed_transmission() {
         })
         .collect();
 
-    // Ending A moves C (the slab tail) into A's slot.
+    // Ending A frees its slot; D takes it.
     real.end_transmission(live_real[0]);
     reference.end_transmission(live_ref[0]);
+    let d = real.begin_transmission(device(4), Dbm::new(10.0), band(0), s, e, Payload::Noise);
+    let d_ref = reference.begin_transmission(device(4), Dbm::new(10.0), band(0), s, e);
 
     let again = real.received_power(live_real[2], observer);
     assert_eq!(
         again.value().to_bits(),
         first[2],
-        "C's cached fading must follow it into A's slot"
+        "C's cached fading must survive A's end"
     );
     assert_eq!(
-        again.value().to_bits(),
-        reference
-            .received_power(live_ref[2], observer)
-            .value()
-            .to_bits()
+        real.received_power(d, observer).value().to_bits(),
+        reference.received_power(d_ref, observer).value().to_bits(),
+        "D must draw afresh, not inherit A's draw"
     );
     assert_eq!(
         real.fading_draw(3.0).to_bits(),
@@ -841,8 +880,8 @@ fn cached_fading_follows_a_swap_removed_transmission() {
 /// Queries filter their candidates in grid-gather order and evaluate
 /// only the audible ones, sorted by id. Here gather order disagrees with
 /// id order: tx1 sits in the cell above the observers (visited last),
-/// tx4 in the cell below (visited first), and ending tx0 has
-/// `swap_remove`d tx4 into slot 0. The candidates mix audible,
+/// tx4 in the cell below (visited first), and ending tx0 has freed
+/// slot 0. The candidates mix audible,
 /// zero-overlap (tx3) and out-of-range (tx2) transmissions. Both queries
 /// draw fresh fading realisations for two audible transmissions, so
 /// evaluating in gather order would swap the draws.
@@ -887,7 +926,7 @@ fn filtered_candidates_evaluate_in_id_order() {
         ));
         live_ref.push(reference.begin_transmission(source, Dbm::new(power), band(b), s, e));
     }
-    // Ending tx0 moves the slab tail, tx4, into slot 0.
+    // Ending tx0 frees slot 0.
     real.end_transmission(live_real[0]);
     reference.end_transmission(live_ref[0]);
 
