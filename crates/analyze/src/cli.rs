@@ -4,7 +4,7 @@
 //! bicord analyze summarize TRACE [--format text|json] [--bins N] [--assert S,..]
 //! bicord analyze diff-trace A B [--format text|json]
 //! bicord analyze diff-bench [CURRENT] [--baseline FILE] [--rules FILE]
-//!                           [--threshold PCT] [--out FILE] [--bless]
+//!                           [--out FILE] [--bless]
 //! ```
 //!
 //! Exit codes follow the repo convention: `0` pass/identical, `1`
@@ -14,7 +14,6 @@ use std::path::PathBuf;
 
 use crate::bench::{
     blessable, default_rules, evaluate, parse_bench_file, parse_rules, BenchEntry, BudgetRule,
-    DEFAULT_THRESHOLD_PCT,
 };
 use crate::diff::diff_traces;
 use crate::summarize::{Analytics, SummarizeOptions};
@@ -55,7 +54,6 @@ enum Command {
         current: PathBuf,
         baseline: PathBuf,
         rules: Option<PathBuf>,
-        threshold_pct: f64,
         out: Option<PathBuf>,
         bless: bool,
     },
@@ -63,7 +61,7 @@ enum Command {
 
 /// Usage text (also the `--help` output).
 fn usage() -> &'static str {
-    "bicord analyze — trace analytics and perf-budget diffs
+    "bicord analyze — trace analytics and budget diffs
 
 USAGE:
   bicord analyze summarize TRACE [OPTIONS]
@@ -83,16 +81,16 @@ exit 0 when identical, 1 when they differ:
   --format <text|json>  output flavor                           [text]
 
 diff-bench — compare a BENCH_results.json against a baseline under
-per-metric budget rules; exit 0 within budget, 1 on breach:
+per-metric budget rules; exit 0 within budget, 1 on breach (a gated
+baseline metric missing from CURRENT is a breach):
   CURRENT               results file            [BENCH_results.json]
   --baseline FILE       baseline file  [scripts/bench_baseline.json]
   --rules FILE          JSON budget rules (docs/ANALYTICS.md)
-  --threshold PCT       latency regression budget, percent      [25]
+                        [PDR/utilization floors, quarantine ceiling]
   --out FILE            also write a markdown report
   --bless               rewrite the baseline from CURRENT and exit
 
-Replaces the retired `bench_compare` binary; `scripts/bench_compare.sh`
-forwards here. See docs/ANALYTICS.md."
+See docs/ANALYTICS.md."
 }
 
 fn parse<I: Iterator<Item = String>>(mut args: I) -> Result<Command, String> {
@@ -106,7 +104,6 @@ fn parse<I: Iterator<Item = String>>(mut args: I) -> Result<Command, String> {
     let mut asserts: Vec<String> = Vec::new();
     let mut baseline = PathBuf::from("scripts/bench_baseline.json");
     let mut rules = None;
-    let mut threshold_pct = DEFAULT_THRESHOLD_PCT;
     let mut out = None;
     let mut bless = false;
     let mut args = args.peekable();
@@ -133,11 +130,6 @@ fn parse<I: Iterator<Item = String>>(mut args: I) -> Result<Command, String> {
             }
             "--baseline" => baseline = PathBuf::from(value("--baseline")?),
             "--rules" => rules = Some(PathBuf::from(value("--rules")?)),
-            "--threshold" => {
-                threshold_pct = value("--threshold")?
-                    .parse()
-                    .map_err(|_| "--threshold wants a number (percent)".to_string())?;
-            }
             "--out" => out = Some(PathBuf::from(value("--out")?)),
             "--bless" => bless = true,
             other if other.starts_with("--") => {
@@ -178,7 +170,6 @@ fn parse<I: Iterator<Item = String>>(mut args: I) -> Result<Command, String> {
                 current,
                 baseline,
                 rules,
-                threshold_pct,
                 out,
                 bless,
             })
@@ -267,11 +258,10 @@ fn execute(command: &Command) -> Result<i32, String> {
             current,
             baseline,
             rules,
-            threshold_pct,
             out,
             bless,
         } => {
-            let rules = load_rules(rules.as_deref(), *threshold_pct)?;
+            let rules = load_rules(rules.as_deref())?;
             let current_entries = read_bench_file(current)?;
             if *bless {
                 let kept = blessable(&current_entries, &rules);
@@ -292,7 +282,7 @@ fn execute(command: &Command) -> Result<i32, String> {
                 return Ok(0);
             }
             let baseline_entries = read_bench_file(baseline)?;
-            let report = evaluate(&baseline_entries, &current_entries, &rules, *threshold_pct);
+            let report = evaluate(&baseline_entries, &current_entries, &rules);
             if report.rows.is_empty() {
                 return Err(format!(
                     "refusing to judge an empty comparison: no metric of {} is gated by \
@@ -318,12 +308,9 @@ fn read_bench_file(path: &std::path::Path) -> Result<Vec<BenchEntry>, String> {
         .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn load_rules(
-    path: Option<&std::path::Path>,
-    threshold_pct: f64,
-) -> Result<Vec<BudgetRule>, String> {
+fn load_rules(path: Option<&std::path::Path>) -> Result<Vec<BudgetRule>, String> {
     match path {
-        None => Ok(default_rules(threshold_pct)),
+        None => Ok(default_rules()),
         Some(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -401,7 +388,6 @@ mod tests {
                 current: PathBuf::from("BENCH_results.json"),
                 baseline: PathBuf::from("scripts/bench_baseline.json"),
                 rules: None,
-                threshold_pct: 25.0,
                 out: None,
                 bless: false,
             }
@@ -411,8 +397,8 @@ mod tests {
             "other.json",
             "--baseline",
             "base.json",
-            "--threshold",
-            "10",
+            "--rules",
+            "rules.json",
             "--out",
             "report.md",
             "--bless",
@@ -422,14 +408,13 @@ mod tests {
             Command::DiffBench {
                 current,
                 baseline,
-                threshold_pct,
+                rules,
                 out,
                 bless,
-                ..
             } => {
                 assert_eq!(current, PathBuf::from("other.json"));
                 assert_eq!(baseline, PathBuf::from("base.json"));
-                assert_eq!(threshold_pct, 10.0);
+                assert_eq!(rules, Some(PathBuf::from("rules.json")));
                 assert_eq!(out, Some(PathBuf::from("report.md")));
                 assert!(bless);
             }

@@ -1,4 +1,4 @@
-//! # bicord-analyze — trace analytics and perf-budget diffs
+//! # bicord-analyze — trace analytics and budget diffs
 //!
 //! The offline analysis layer of the BiCord reproduction, surfaced as the
 //! `bicord analyze` subcommand (see `docs/ANALYTICS.md`). Three modes:
@@ -12,10 +12,10 @@
 //!   same schema: which record populations appeared, vanished, or
 //!   changed, keyed by kind and node.
 //! * **diff-bench** ([`mod@bench`]) — compare two `BENCH_results.json` files
-//!   under per-metric budget rules (latency regression percent,
-//!   throughput floors, quarantine ceilings) with a pass/fail exit code;
-//!   this is the CI `perf-budget` gate and the engine behind
-//!   `scripts/bench_compare.sh`.
+//!   under per-metric budget rules (PDR/utilization floors, quarantine
+//!   ceilings, and relative limits from a rules file) with a pass/fail
+//!   exit code; this is the CI `perf-budget-report` gate. Host time is
+//!   judged by `scripts/ab.sh` instead.
 //!
 //! Parsing is closed-world (`bicord_sim::obs::TraceEvent::KINDS`): a
 //! record kind the analyzer does not know is a hard error naming the

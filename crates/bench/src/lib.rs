@@ -1,7 +1,8 @@
 //! # bicord-bench
 //!
 //! The regeneration harness: one binary per table/figure of the paper
-//! (under `src/bin/`), plus Criterion micro-benchmarks (under `benches/`).
+//! (under `src/bin/`). Host-time measurement lives in the benchmark
+//! under `benchmark/` and `scripts/ab.sh`, not here.
 //!
 //! Every binary accepts `--quick` to run a shortened sweep (useful for
 //! smoke-testing the harness itself); without it, the full paper-scale
@@ -32,8 +33,9 @@
 //! `BENCH_results.json` (override the path with `BICORD_BENCH_JSON`, or
 //! set it to `0`/`off` to disable): wall-clock time, worker threads used,
 //! cells run, and the experiment's key metric values — see
-//! [`PerfRecorder`]. `bicord analyze diff-bench` compares those records
-//! against `scripts/bench_baseline.json` under the perf-budget rules
+//! [`PerfRecorder`]. `bicord analyze diff-bench` compares the
+//! deterministic metrics of those records (PDR/utilization floors, the
+//! quarantined-cell ceiling) against `scripts/bench_baseline.json`
 //! (docs/ANALYTICS.md).
 
 #![forbid(unsafe_code)]
@@ -121,8 +123,8 @@ pub fn run_spec_mode(cli: &BenchCli, expected_scenario: &str) -> bool {
         )?;
         perf.cells(outcome.cells_run + outcome.cells_skipped);
         // Budget-gated by `bicord analyze diff-bench` (ceiling 0): a
-        // quarantined cell in a recorded run is a perf-budget breach,
-        // not just a console warning.
+        // quarantined cell in a recorded run is a budget breach, not
+        // just a console warning.
         perf.metric("quarantined_cells", outcome.quarantined.len() as f64);
         perf.finish();
         println!(

@@ -565,8 +565,9 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 }
 
 /// The default sink: a zero-sized type that discards everything. With
-/// `NoopSink` the instrumentation compiles away entirely (verified by the
-/// `perf_smoke` overhead test).
+/// `NoopSink` the instrumentation compiles away entirely; every workload
+/// of the benchmark under `benchmark/` runs it, so `scripts/ab.sh`
+/// catches a regression of the uninstrumented path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopSink;
 

@@ -41,7 +41,7 @@
 //! The `analyze` subcommand is the offline analysis layer
 //! (`bicord::analyze`, see docs/ANALYTICS.md): `summarize` a JSONL
 //! trace, `diff-trace` two traces, or `diff-bench` a
-//! `BENCH_results.json` against a baseline under perf-budget rules:
+//! `BENCH_results.json` against a baseline under budget rules:
 //!
 //! ```text
 //! bicord analyze summarize trace.jsonl --assert bursts,utilization

@@ -19,6 +19,16 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A `--rules` file gating the `_ns` latency columns at +25% (`nocull`
+/// contrast columns exempt) ahead of the default floors. The default
+/// rules gate no host timing, so `max_regression_pct` is exercised here.
+const LATENCY_RULES: &str = r#"[
+{"experiment": "dense_city_scaling", "metric": "_ns", "exclude": "nocull", "rule": "max_regression_pct", "limit": 25},
+{"metric": "pdr", "rule": "max_drop_pct", "limit": 5},
+{"metric": "quarantined_cells", "rule": "max_value", "limit": 0}
+]
+"#;
+
 const BASELINE: &str = r#"[
 {"experiment": "dense_city_scaling", "quick": true, "threads": 1, "cells": 3, "wall_ms": 150.0, "metrics": {"sensed_ns_100": 200.0, "sensed_nocull_ns_100": 400.0, "interference_ns_100": 180.0}},
 {"experiment": "multi_node", "quick": true, "threads": 1, "cells": 6, "wall_ms": 16.0, "metrics": {"mean_aggregate_pdr": 0.92}}
@@ -32,6 +42,7 @@ const BASELINE: &str = r#"[
 fn synthetic_regression_fails_naming_the_metric() {
     let dir = tmpdir("regressed");
     std::fs::write(dir.join("baseline.json"), BASELINE).unwrap();
+    std::fs::write(dir.join("rules.json"), LATENCY_RULES).unwrap();
     // sensed_ns_100 regresses 2x; the exempt nocull column also moves.
     std::fs::write(
         dir.join("current.json"),
@@ -44,7 +55,14 @@ fn synthetic_regression_fails_naming_the_metric() {
     )
     .unwrap();
     let out = bicord(
-        &["diff-bench", "current.json", "--baseline", "baseline.json"],
+        &[
+            "diff-bench",
+            "current.json",
+            "--baseline",
+            "baseline.json",
+            "--rules",
+            "rules.json",
+        ],
         &dir,
     );
     assert_eq!(out.status.code(), Some(1), "regression must exit 1");
@@ -61,6 +79,7 @@ fn synthetic_regression_fails_naming_the_metric() {
 fn within_budget_passes_and_writes_the_markdown_report() {
     let dir = tmpdir("pass");
     std::fs::write(dir.join("baseline.json"), BASELINE).unwrap();
+    std::fs::write(dir.join("rules.json"), LATENCY_RULES).unwrap();
     // 10% regression: inside the +25% budget.
     std::fs::write(
         dir.join("current.json"),
@@ -73,6 +92,8 @@ fn within_budget_passes_and_writes_the_markdown_report() {
             "current.json",
             "--baseline",
             "baseline.json",
+            "--rules",
+            "rules.json",
             "--out",
             "report.md",
         ],
@@ -118,22 +139,22 @@ fn bless_round_trips_to_a_green_gate() {
     let current = BASELINE.replace("\"sensed_ns_100\": 200.0", "\"sensed_ns_100\": 400.0");
     std::fs::write(dir.join("baseline.json"), BASELINE).unwrap();
     std::fs::write(dir.join("current.json"), &current).unwrap();
-    let out = bicord(
-        &[
-            "diff-bench",
-            "current.json",
-            "--baseline",
-            "baseline.json",
-            "--bless",
-        ],
-        &dir,
-    );
+    std::fs::write(dir.join("rules.json"), LATENCY_RULES).unwrap();
+    let gate = [
+        "diff-bench",
+        "current.json",
+        "--baseline",
+        "baseline.json",
+        "--rules",
+        "rules.json",
+    ];
+    assert_eq!(bicord(&gate, &dir).status.code(), Some(1));
+    let mut bless = gate.to_vec();
+    bless.push("--bless");
+    let out = bicord(&bless, &dir);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     // ...is green after blessing: the baseline now holds the current values.
-    let out = bicord(
-        &["diff-bench", "current.json", "--baseline", "baseline.json"],
-        &dir,
-    );
+    let out = bicord(&gate, &dir);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -199,7 +220,7 @@ fn truncated_baseline_is_an_error_not_a_pass() {
     assert_ne!(current, baseline, "the PDR edit must apply");
     std::fs::write(dir.join("current.json"), &current).unwrap();
     std::fs::write(dir.join("baseline.json"), &baseline).unwrap();
-    std::fs::write(dir.join("cut.json"), &baseline[..900]).unwrap();
+    std::fs::write(dir.join("cut.json"), &baseline[..baseline.len() / 2]).unwrap();
 
     let out = bicord(
         &["diff-bench", "current.json", "--baseline", "baseline.json"],
@@ -219,7 +240,7 @@ fn truncated_baseline_is_an_error_not_a_pass() {
     assert!(!String::from_utf8_lossy(&out.stdout).contains("PASS"));
 
     // The same holds for a truncated CURRENT file.
-    std::fs::write(dir.join("cut_current.json"), &current[..900]).unwrap();
+    std::fs::write(dir.join("cut_current.json"), &current[..current.len() / 2]).unwrap();
     let out = bicord(
         &[
             "diff-bench",
@@ -231,6 +252,50 @@ fn truncated_baseline_is_an_error_not_a_pass() {
     );
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("cut_current.json"));
+}
+
+/// A gated baseline metric that the current file lacks — renamed, or its
+/// whole experiment no longer recorded — fails the gate naming the entry
+/// and the metric instead of silently dropping the floor.
+#[test]
+fn missing_gated_metric_or_entry_is_a_breach() {
+    let dir = tmpdir("missing");
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let baseline = std::fs::read_to_string(repo.join("scripts/bench_baseline.json")).unwrap();
+    std::fs::write(dir.join("baseline.json"), &baseline).unwrap();
+    let diff = |current: &str| {
+        std::fs::write(dir.join("current.json"), current).unwrap();
+        bicord(
+            &["diff-bench", "current.json", "--baseline", "baseline.json"],
+            &dir,
+        )
+    };
+    assert_eq!(diff(&baseline).status.code(), Some(0), "self-diff is green");
+
+    let renamed = baseline.replace("\"worst_rate_pdr\"", "\"worst_pdr\"");
+    assert_ne!(renamed, baseline, "the rename must apply");
+    let out = diff(&renamed);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("robustness_sweep:quick/worst_rate_pdr: 0.9 -> missing"),
+        "{stdout}"
+    );
+
+    let lines: Vec<&str> = baseline.lines().collect();
+    let multi_node = lines
+        .iter()
+        .find(|l| l.contains("\"multi_node\""))
+        .expect("baseline gates multi_node");
+    let out = diff(&format!("[\n{}\n]\n", multi_node.trim_end_matches(',')));
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for metric in ["baseline_pdr", "worst_rate_pdr", "worst_rate_utilization"] {
+        assert!(
+            stdout.contains(&format!("robustness_sweep:quick/{metric}: ")),
+            "{metric} unnamed: {stdout}"
+        );
+    }
 }
 
 /// A rules file must be one valid JSON array: a stray fragment is an
