@@ -3,9 +3,9 @@
 //! the deterministic floors of the bench records into an enforced
 //! budget. Host timing is judged by `scripts/ab.sh`, not here.
 //!
-//! Records are keyed by `(experiment, quick, shard)` — shard-tagged
-//! entries written by `--spec --shard K/N` bench runs diff against the
-//! matching shard of the baseline, never against the unsharded record.
+//! Records are keyed by `(experiment, quick)`: a `--quick` record diffs
+//! against the quick baseline record of the same experiment, never
+//! against the full-scale one.
 //!
 //! # Budget rules
 //!
@@ -46,8 +46,6 @@ pub struct BenchEntry {
     pub experiment: String,
     /// Whether the record came from a `--quick` run.
     pub quick: bool,
-    /// `"K/N"` for shard-tagged records, `None` for unsharded ones.
-    pub shard: Option<String>,
     /// The whole record, for `--bless` passthrough.
     pub record: Json,
     /// The flat metrics map (non-finite values dropped).
@@ -55,19 +53,15 @@ pub struct BenchEntry {
 }
 
 impl BenchEntry {
-    /// The `(experiment, quick, shard)` identity used for matching.
-    fn key(&self) -> (&str, bool, Option<&str>) {
-        (&self.experiment, self.quick, self.shard.as_deref())
+    /// The `(experiment, quick)` identity used for matching.
+    fn key(&self) -> (&str, bool) {
+        (&self.experiment, self.quick)
     }
 
-    /// Display label: `experiment`, plus `[K/N]` for shard-tagged and
-    /// `:quick` for quick-mode records, so same-experiment rows stay
-    /// tellable apart in reports.
+    /// Display label: `experiment`, plus `:quick` for quick-mode
+    /// records, so same-experiment rows stay tellable apart in reports.
     fn label(&self) -> String {
         let mut label = self.experiment.clone();
-        if let Some(s) = &self.shard {
-            let _ = write!(label, "[{s}]");
-        }
         if self.quick {
             label.push_str(":quick");
         }
@@ -85,10 +79,6 @@ impl BenchEntry {
             None => false,
             Some(v) => v.as_bool().ok_or("\"quick\" is not a boolean")?,
         };
-        let shard = match record.get("shard") {
-            None => None,
-            Some(v) => Some(v.as_str().ok_or("\"shard\" is not a string")?.to_string()),
-        };
         let metrics = match record.get("metrics") {
             None => &[][..],
             Some(v) => v.as_object().ok_or("\"metrics\" is not an object")?,
@@ -104,7 +94,6 @@ impl BenchEntry {
         Ok(BenchEntry {
             experiment: experiment.to_string(),
             quick,
-            shard,
             record: record.clone(),
             metrics,
         })
@@ -571,8 +560,8 @@ mod tests {
          {\"sensed_ns_100\": 236.2, \"sensed_nocull_ns_100\": 485.8, \
          \"broken\": null, \"sensed_flatness\": 1.74}}";
 
-    const SHARDED: &str = "{\"experiment\": \"multi_node\", \"quick\": true, \
-         \"shard\": \"1/2\", \"threads\": 1, \"cells\": 3, \"wall_ms\": 9.5, \
+    const MULTI: &str = "{\"experiment\": \"multi_node\", \"quick\": true, \
+         \"threads\": 1, \"cells\": 3, \"wall_ms\": 9.5, \
          \"metrics\": {\"mean_aggregate_pdr\": 0.92, \"quarantined_cells\": 0}}";
 
     fn file(lines: &[&str]) -> Vec<BenchEntry> {
@@ -598,7 +587,6 @@ mod tests {
         let e = &entries[0];
         assert_eq!(e.experiment, "dense_city_scaling");
         assert!(e.quick);
-        assert_eq!(e.shard, None);
         // `null` metrics are dropped; finite ones keep their values —
         // including the final metric, right against the closing braces.
         assert_eq!(
@@ -613,7 +601,7 @@ mod tests {
 
     #[test]
     fn malformed_files_are_errors_not_fewer_entries() {
-        let whole = format!("[\n{LINE},\n{SHARDED}\n]\n");
+        let whole = format!("[\n{LINE},\n{MULTI}\n]\n");
         assert_eq!(parse_bench_file(&whole).unwrap().len(), 2);
         // Cut anywhere inside the array: the file no longer parses.
         for cut in [whole.len() - 3, whole.len() / 2, 1] {
@@ -625,34 +613,6 @@ mod tests {
         let bad_metric = LINE.replace("236.2", "\"fast\"");
         let err = parse_bench_file(&format!("[{bad_metric}]")).unwrap_err();
         assert!(err.contains("sensed_ns_100"), "{err}");
-    }
-
-    #[test]
-    fn shard_tags_key_records_apart() {
-        let entries = file(&[SHARDED, &SHARDED.replace("1/2", "2/2")]);
-        assert_eq!(entries[0].shard.as_deref(), Some("1/2"));
-        assert_eq!(entries[0].label(), "multi_node[1/2]:quick");
-        assert_ne!(entries[0].key(), entries[1].key());
-        // A sharded current entry only matches the same shard's baseline:
-        // shard 2/2 has none, and shard 1/2's gated PDR went missing.
-        let report = evaluate(
-            &file(&[SHARDED]),
-            &file(&[&SHARDED.replace("1/2", "2/2")]),
-            &default_rules(),
-        );
-        assert_eq!(report.unmatched, vec!["multi_node[2/2]:quick".to_string()]);
-        assert_eq!(
-            report.breach_lines(),
-            vec![
-                "multi_node[1/2]:quick/mean_aggregate_pdr: 0.9 -> missing from the current \
-                  file (budget >= -5%)"
-                    .to_string()
-            ]
-        );
-        assert!(report
-            .rows
-            .iter()
-            .any(|r| r.entry == "multi_node[2/2]:quick" && r.metric == "quarantined_cells"));
     }
 
     #[test]
@@ -708,8 +668,8 @@ mod tests {
 
     #[test]
     fn throughput_floor_and_quarantine_ceiling() {
-        let baseline = file(&[SHARDED]);
-        let dropped = SHARDED
+        let baseline = file(&[MULTI]);
+        let dropped = MULTI
             .replace("0.92", "0.80")
             .replace("\"quarantined_cells\": 0", "\"quarantined_cells\": 2");
         let current = file(&[&dropped]);
@@ -729,11 +689,11 @@ mod tests {
         const SWEEP: &str = "{\"experiment\": \"robustness_sweep\", \"quick\": true, \
              \"threads\": 1, \"cells\": 7, \"wall_ms\": 23.1, \"metrics\": \
              {\"baseline_pdr\": 1, \"worst_rate_pdr\": 0.925, \"worst_rate_csma_fallbacks\": 1}}";
-        let baseline = file(&[SHARDED, SWEEP]);
+        let baseline = file(&[MULTI, SWEEP]);
         // A renamed floor metric: the new name has no baseline (a note),
         // the old one is gone from the current file (a breach).
         let renamed = SWEEP.replace("worst_rate_pdr", "worst_pdr");
-        let report = evaluate(&baseline, &file(&[SHARDED, &renamed]), &default_rules());
+        let report = evaluate(&baseline, &file(&[MULTI, &renamed]), &default_rules());
         assert_eq!(
             report.breach_lines(),
             vec![
@@ -748,14 +708,14 @@ mod tests {
             .contains("| 0.9 | missing | - | >= -5% | BREACH |"));
         // An experiment that stops recording: each of its gated metrics
         // is a breach; the ungated fallback count is not.
-        let report = evaluate(&baseline, &file(&[SHARDED]), &default_rules());
+        let report = evaluate(&baseline, &file(&[MULTI]), &default_rules());
         let breaches = report.breach_lines();
         assert_eq!(breaches.len(), 2, "{breaches:?}");
         assert!(breaches[0].starts_with("robustness_sweep:quick/baseline_pdr: 1.0 -> missing"));
         assert!(breaches[1].starts_with("robustness_sweep:quick/worst_rate_pdr: 0.9 -> missing"));
         assert!(report.render_markdown().contains("**FAIL**"));
         // A ceiling-only metric needs no baseline and is never missing.
-        let ceiling = file(&[&SHARDED.replace("0.92", "0.93")]);
+        let ceiling = file(&[&MULTI.replace("0.92", "0.93")]);
         assert!(evaluate(&ceiling, &ceiling, &default_rules())
             .breaches()
             .is_empty());
@@ -822,14 +782,11 @@ mod tests {
     fn bless_selects_relative_rule_targets_only() {
         let no_gated = "{\"experiment\": \"cti_accuracy\", \"quick\": false, \
              \"threads\": 1, \"cells\": 4, \"wall_ms\": 18.5, \"metrics\": {}}";
-        let entries = file(&[LINE, SHARDED, no_gated]);
+        let entries = file(&[LINE, MULTI, no_gated]);
         let names: Vec<String> = blessable(&entries, &latency_rules())
             .iter()
             .map(|e| e.label())
             .collect();
-        assert_eq!(
-            names,
-            vec!["dense_city_scaling:quick", "multi_node[1/2]:quick"]
-        );
+        assert_eq!(names, vec!["dense_city_scaling:quick", "multi_node:quick"]);
     }
 }

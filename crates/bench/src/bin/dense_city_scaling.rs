@@ -22,14 +22,12 @@
 //! (the benchmark's `dense_city_10k` workload and `scripts/ab.sh` judge
 //! the medium end to end).
 //!
-//! Pass `--spec FILE [--shard K/N]` to instead run the registry's
-//! "dense_city" scenario (deterministic outcome counters, shardable and
-//! mergeable); per-query latency timing is inherently wall-clock and
-//! stays on this binary's default path.
+//! The registry's deterministic "dense_city" scenario runs through
+//! `bicord sweep --spec specs/dense_city_quick.json`.
 
 use std::time::Instant;
 
-use bicord_bench::PerfRecorder;
+use bicord_bench::{BenchCli, PerfRecorder};
 use bicord_mac::frames::Payload;
 use bicord_metrics::table::{fmt1, TextTable};
 use bicord_scenario::dense_city::DenseCityConfig;
@@ -132,23 +130,23 @@ fn measure(config: &DenseCityConfig, queries: usize, passes: usize) -> QueryCost
 }
 
 fn main() {
-    let cli = bicord_bench::BenchCli::parse_or_exit_sweepable("dense_city_scaling");
+    let usage = format!(
+        "dense_city_scaling — per-query medium cost against world size\n\n\
+         USAGE:\n  dense_city_scaling [--quick|--full] [--threads N] [--out PATH]\n\n{}",
+        bicord_bench::cli::OPTIONS
+    );
+    let cli = BenchCli::parse_or_exit(std::env::args().skip(1), false, &usage);
     cli.apply();
-    if bicord_bench::run_spec_mode(&cli, "dense_city") {
-        return;
-    }
-    let sizes: &[u32] = if cli.quick {
-        &[100, 400, 1_600]
-    } else {
-        &[100, 400, 1_600, 4_900, 10_000]
-    };
+    let sizes: &[u32] = cli
+        .scale()
+        .pick(&[100, 400, 1_600, 4_900, 10_000], &[100, 400, 1_600]);
     eprintln!(
         "dense_city_scaling: {} world sizes up to {} devices...",
         sizes.len(),
         sizes.last().unwrap()
     );
 
-    let mut perf = PerfRecorder::start("dense_city_scaling");
+    let mut perf = PerfRecorder::start("dense_city_scaling", cli.scale());
     let mut table = TextTable::new(vec![
         "devices",
         "sensed ns/q",

@@ -1,55 +1,50 @@
-//! Shared command-line handling for the regeneration binaries.
+//! Shared command-line handling for `bicord-bench` and
+//! `dense_city_scaling`.
 //!
-//! Every `bicord-bench` binary accepts the same small flag set; parsing
-//! lives here so the binaries stay one-screen experiment scripts:
+//! Both binaries accept the same small flag set; parsing lives here so
+//! the binaries stay short:
 //!
 //! ```text
-//! <binary> [--quick|--full] [--threads N] [--trace PATH] [--out PATH]
+//! bicord-bench <figure> [--quick|--full] [--threads N] [--trace PATH] [--out PATH]
+//! dense_city_scaling [--quick|--full] [--threads N] [--out PATH]
 //!
 //!   --quick        shortened sweep (smoke-test scale)
 //!   --full         paper-scale sweep (the default; rejects --quick)
 //!   --threads N    worker threads for the parallel harness
 //!                  (sets BICORD_THREADS)
 //!   --trace PATH   write a JSONL event timeline of one representative
-//!                  run (docs/OBSERVABILITY.md)
+//!                  run (docs/OBSERVABILITY.md); only figures with a
+//!                  traced config accept it
 //!   --out PATH     performance-record file (sets BICORD_BENCH_JSON;
 //!                  `0`/`off` disables)
 //! ```
 //!
-//! Binaries migrated onto the `bicord-sweep` scenario registry
-//! (`multi_node`, `robustness_sweep`, `dense_city_scaling`,
-//! `cti_accuracy`) additionally
-//! accept the sweep-contract flags and parse via
-//! [`BenchCli::parse_or_exit_sweepable`]:
-//!
-//! ```text
-//!   --spec PATH    drive the sweep from a JSON spec file instead of the
-//!                  built-in grid (scale comes from the spec, so --quick
-//!                  and --full are rejected alongside it)
-//!   --shard K/N    run only shard K of N of the spec's cells (requires
-//!                  --spec); artifacts land under sweep_out/
-//!   --cell-timeout S   abandon + quarantine a cell after S wall-clock
-//!                  seconds (requires --spec)
-//!   --max-retries N    re-runs per failed cell before quarantine
-//!                  (requires --spec; default 1)
-//! ```
-//!
 //! Flag conflicts are **errors**, never silently resolved: `--quick`
-//! with `--full`, `--spec` with either, `--shard` without `--spec`, and
-//! any flag given twice all fail parsing with a message naming the
-//! conflict.
+//! with `--full`, any flag given twice, a flag where a value belongs
+//! (`--out --quick`), and `--trace` where there is no run to trace all
+//! fail parsing with a message naming the flag.
 //!
-//! Call [`BenchCli::parse_or_exit`] (or the sweepable variant) first
-//! thing in `main`, then [`BenchCli::apply`] before the first
-//! simulation, and — for binaries that support timelines —
-//! [`BenchCli::maybe_trace`] with a representative config of the sweep.
+//! Call [`BenchCli::parse_or_exit`] first thing in `main`, then
+//! [`BenchCli::apply`] before the first simulation, and — when the
+//! figure has a traced config — [`BenchCli::maybe_trace`].
 
 use std::path::PathBuf;
 
 use bicord_scenario::config::{Mode, SimConfig};
 use bicord_scenario::sim::CoexistenceSim;
 use bicord_sim::obs::{JsonlSink, TraceHeader};
-use bicord_sweep::Shard;
+
+use crate::Scale;
+
+/// The flag lines of every usage text.
+pub const OPTIONS: &str = "OPTIONS:
+  --quick        shortened sweep (smoke-test scale)
+  --full         paper-scale sweep (the default)
+  --threads N    worker threads (sets BICORD_THREADS)
+  --trace PATH   JSONL event timeline of one representative run
+                 (only where a traced config exists)
+  --out PATH     performance-record file (sets BICORD_BENCH_JSON)
+  --help         this text";
 
 /// Parsed common bench flags.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -62,14 +57,6 @@ pub struct BenchCli {
     pub trace: Option<PathBuf>,
     /// Where to append the machine-readable performance record.
     pub out: Option<PathBuf>,
-    /// Sweep spec file to drive instead of the built-in grid.
-    pub spec: Option<PathBuf>,
-    /// The shard of the spec's cells to run (`None` = all of them).
-    pub shard: Option<Shard>,
-    /// Wall-clock deadline per cell before quarantine (spec mode only).
-    pub cell_timeout: Option<std::time::Duration>,
-    /// Re-runs per failed cell before quarantine (spec mode only).
-    pub max_retries: Option<u32>,
 }
 
 /// The mode label used in trace headers (`"bicord"`, `"ecc"`, ...).
@@ -83,35 +70,34 @@ pub fn mode_label(mode: &Mode) -> &'static str {
 }
 
 impl BenchCli {
-    /// Parses `std::env::args()`; prints usage and exits on `--help` or
-    /// any error. `--spec`/`--shard` are rejected — most binaries have
-    /// no registry entry to drive; see
-    /// [`BenchCli::parse_or_exit_sweepable`].
-    pub fn parse_or_exit(binary: &str) -> BenchCli {
-        Self::finish(binary, false)
-    }
-
-    /// [`BenchCli::parse_or_exit`] for binaries with a scenario in the
-    /// `bicord-sweep` registry: `--spec` and `--shard` are accepted.
-    pub fn parse_or_exit_sweepable(binary: &str) -> BenchCli {
-        Self::finish(binary, true)
-    }
-
-    fn finish(binary: &str, sweepable: bool) -> BenchCli {
-        match BenchCli::parse(std::env::args().skip(1), sweepable) {
+    /// Parses `args` (the flags, without the program or figure name);
+    /// prints `usage` and exits on `--help` (status 0) or any error
+    /// (status 2). `traceable` says whether there is a representative
+    /// run for `--trace` to record.
+    pub fn parse_or_exit<I: Iterator<Item = String>>(
+        args: I,
+        traceable: bool,
+        usage: &str,
+    ) -> BenchCli {
+        match BenchCli::parse(args, traceable) {
             Ok(cli) => cli,
             Err(e) if e == "help" => {
-                println!("{}", usage(binary, sweepable));
+                println!("{usage}");
                 std::process::exit(0);
             }
             Err(e) => {
-                eprintln!("error: {e}\n\n{}", usage(binary, sweepable));
+                eprintln!("error: {e}\n\n{usage}");
                 std::process::exit(2);
             }
         }
     }
 
-    fn parse<I: Iterator<Item = String>>(mut args: I, sweepable: bool) -> Result<BenchCli, String> {
+    /// Parses `args`; `Err("help")` on `--help`, otherwise `Err` names
+    /// the offending flag.
+    pub fn parse<I: Iterator<Item = String>>(
+        mut args: I,
+        traceable: bool,
+    ) -> Result<BenchCli, String> {
         let mut cli = BenchCli::default();
         let mut full = false;
         let mut seen: Vec<String> = Vec::new();
@@ -124,9 +110,12 @@ impl BenchCli {
                 }
                 seen.push(arg.clone());
             }
-            let mut value = |name: &str| {
-                args.next()
-                    .ok_or_else(|| format!("{name} requires a value"))
+            let mut value = |name: &str| match args.next() {
+                None => Err(format!("{name} requires a value")),
+                Some(v) if v.starts_with("--") => {
+                    Err(format!("{name} requires a value, but got the flag {v}"))
+                }
+                Some(v) => Ok(v),
             };
             match arg.as_str() {
                 "--quick" => cli.quick = true,
@@ -140,37 +129,11 @@ impl BenchCli {
                     }
                     cli.threads = Some(n);
                 }
+                "--trace" if !traceable => {
+                    return Err("--trace: this run has no traced config".to_string());
+                }
                 "--trace" => cli.trace = Some(PathBuf::from(value("--trace")?)),
                 "--out" => cli.out = Some(PathBuf::from(value("--out")?)),
-                "--spec" | "--shard" | "--cell-timeout" | "--max-retries" if !sweepable => {
-                    return Err(format!(
-                        "{arg} is only supported by registry-driven binaries \
-                         (multi_node, robustness_sweep, dense_city_scaling, \
-                         cti_accuracy) and `bicord sweep`"
-                    ));
-                }
-                "--spec" => cli.spec = Some(PathBuf::from(value("--spec")?)),
-                "--shard" => {
-                    cli.shard = Some(
-                        Shard::parse(&value("--shard")?).map_err(|e| format!("--shard: {e}"))?,
-                    );
-                }
-                "--cell-timeout" => {
-                    let secs: f64 = value("--cell-timeout")?
-                        .parse()
-                        .map_err(|e| format!("--cell-timeout: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--cell-timeout wants a positive number of seconds".to_string());
-                    }
-                    cli.cell_timeout = Some(std::time::Duration::from_secs_f64(secs));
-                }
-                "--max-retries" => {
-                    cli.max_retries = Some(
-                        value("--max-retries")?
-                            .parse()
-                            .map_err(|e| format!("--max-retries: {e}"))?,
-                    );
-                }
                 "--help" | "-h" => return Err("help".to_string()),
                 other => return Err(format!("unknown option '{other}' (try --help)")),
             }
@@ -178,33 +141,16 @@ impl BenchCli {
         if cli.quick && full {
             return Err("--quick and --full are mutually exclusive".to_string());
         }
-        if cli.spec.is_some() && (cli.quick || full) {
-            return Err(
-                "--spec sets the sweep scale itself; drop --quick/--full or the spec".to_string(),
-            );
-        }
-        if cli.shard.is_some() && cli.spec.is_none() {
-            return Err("--shard needs --spec (the spec defines the cells to shard)".to_string());
-        }
-        if (cli.cell_timeout.is_some() || cli.max_retries.is_some()) && cli.spec.is_none() {
-            return Err(
-                "--cell-timeout/--max-retries supervise spec-driven cells; add --spec".to_string(),
-            );
-        }
         Ok(cli)
     }
 
-    /// The supervision policy the flags describe (spec mode only):
-    /// library defaults with `--cell-timeout`/`--max-retries` applied.
-    pub fn run_policy(&self) -> bicord_sweep::RunPolicy {
-        let mut policy = bicord_sweep::RunPolicy::default();
-        if self.cell_timeout.is_some() {
-            policy.cell_timeout = self.cell_timeout;
+    /// The sweep scale the flags ask for.
+    pub fn scale(&self) -> Scale {
+        if self.quick {
+            Scale::Quick
+        } else {
+            Scale::Full
         }
-        if let Some(n) = self.max_retries {
-            policy.max_retries = n;
-        }
-        policy
     }
 
     /// Applies the environment-variable-backed options. Must run before
@@ -217,12 +163,6 @@ impl BenchCli {
         if let Some(out) = &self.out {
             std::env::set_var("BICORD_BENCH_JSON", out.as_os_str());
         }
-    }
-
-    /// The shard to run when `--spec` is active (defaults to the whole
-    /// sweep).
-    pub fn sweep_shard(&self) -> Shard {
-        self.shard.unwrap_or(Shard::SINGLE)
     }
 
     /// If `--trace` was given, runs `config` once with a [`JsonlSink`]
@@ -264,40 +204,11 @@ impl BenchCli {
     }
 }
 
-fn usage(binary: &str, sweepable: bool) -> String {
-    let sweep_flags = if sweepable {
-        "\n  --spec PATH    drive the sweep from a JSON spec (see specs/)\n  \
-         --shard K/N    run shard K of N of the spec's cells (needs --spec)\n  \
-         --cell-timeout S   abandon + quarantine a cell after S seconds (needs --spec)\n  \
-         --max-retries N    re-runs per failed cell before quarantine (needs --spec)"
-    } else {
-        ""
-    };
-    format!(
-        "{binary} — regenerate one table/figure of the BiCord paper
-
-USAGE:
-  {binary} [--quick|--full] [--threads N] [--trace PATH] [--out PATH]
-
-OPTIONS:
-  --quick        shortened sweep (smoke-test scale)
-  --full         paper-scale sweep (the default)
-  --threads N    worker threads (sets BICORD_THREADS)
-  --trace PATH   JSONL event timeline of one representative run
-  --out PATH     performance-record file (sets BICORD_BENCH_JSON){sweep_flags}
-  --help         this text"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<BenchCli, String> {
-        BenchCli::parse(args.iter().map(|s| s.to_string()), false)
-    }
-
-    fn parse_sweepable(args: &[&str]) -> Result<BenchCli, String> {
         BenchCli::parse(args.iter().map(|s| s.to_string()), true)
     }
 
@@ -305,7 +216,7 @@ mod tests {
     fn defaults_are_full_scale() {
         let cli = parse(&[]).unwrap();
         assert_eq!(cli, BenchCli::default());
-        assert!(!cli.quick);
+        assert_eq!(cli.scale(), Scale::Full);
     }
 
     #[test]
@@ -320,7 +231,7 @@ mod tests {
             "p.json",
         ])
         .unwrap();
-        assert!(cli.quick);
+        assert_eq!(cli.scale(), Scale::Quick);
         assert_eq!(cli.threads, Some(4));
         assert_eq!(cli.trace.as_deref(), Some(std::path::Path::new("t.jsonl")));
         assert_eq!(cli.out.as_deref(), Some(std::path::Path::new("p.json")));
@@ -339,72 +250,28 @@ mod tests {
         assert!(err.contains("more than once"), "{err}");
         assert!(parse(&["--threads", "2", "--threads", "4"]).is_err());
         assert!(parse(&["--quick", "--quick"]).is_err());
-        assert!(parse_sweepable(&["--spec", "a", "--spec", "b"]).is_err());
     }
 
     #[test]
-    fn spec_and_shard_parse_for_sweepable_binaries() {
-        let cli = parse_sweepable(&["--spec", "s.json", "--shard", "2/4"]).unwrap();
-        assert_eq!(cli.spec.as_deref(), Some(std::path::Path::new("s.json")));
-        assert_eq!(cli.shard, Some(Shard::parse("2/4").unwrap()));
-        assert_eq!(cli.sweep_shard().to_string(), "2/4");
-        let cli = parse_sweepable(&["--spec", "s.json"]).unwrap();
-        assert_eq!(cli.sweep_shard(), Shard::SINGLE);
+    fn a_flag_is_never_taken_as_a_value() {
+        // `--out --quick` once wrote the record to a file named
+        // `--quick` while still running at quick scale.
+        for flag in ["--out", "--trace", "--threads"] {
+            let err = parse(&[flag, "--quick"]).unwrap_err();
+            assert!(err.starts_with(flag), "{err}");
+            assert!(err.contains("--quick"), "{err}");
+        }
+        // A value that merely starts with one dash is still a value.
+        let cli = parse(&["--out", "-"]).unwrap();
+        assert_eq!(cli.out.as_deref(), Some(std::path::Path::new("-")));
     }
 
     #[test]
-    fn spec_conflicts_with_quick_and_full() {
-        let err = parse_sweepable(&["--spec", "s.json", "--quick"]).unwrap_err();
-        assert!(err.contains("--spec"), "{err}");
-        assert!(parse_sweepable(&["--spec", "s.json", "--full"]).is_err());
-    }
-
-    #[test]
-    fn shard_requires_spec() {
-        let err = parse_sweepable(&["--shard", "1/2"]).unwrap_err();
-        assert!(err.contains("--shard needs --spec"), "{err}");
-    }
-
-    #[test]
-    fn supervision_flags_require_spec_and_shape_the_policy() {
-        let cli = parse_sweepable(&[
-            "--spec",
-            "s.json",
-            "--cell-timeout",
-            "1.5",
-            "--max-retries",
-            "0",
-        ])
-        .unwrap();
-        let policy = cli.run_policy();
-        assert_eq!(
-            policy.cell_timeout,
-            Some(std::time::Duration::from_millis(1500))
-        );
-        assert_eq!(policy.max_retries, 0);
-        // Without the flags the library defaults apply.
-        let cli = parse_sweepable(&["--spec", "s.json"]).unwrap();
-        assert_eq!(cli.run_policy(), bicord_sweep::RunPolicy::default());
-        // Orphaned flags are conflicts.
-        assert!(parse_sweepable(&["--cell-timeout", "1"]).is_err());
-        assert!(parse_sweepable(&["--max-retries", "2"]).is_err());
-        assert!(parse_sweepable(&["--spec", "s", "--cell-timeout", "0"]).is_err());
-        // Non-sweepable binaries reject them like --spec.
-        assert!(parse(&["--cell-timeout", "1"]).is_err());
-    }
-
-    #[test]
-    fn shard_syntax_is_validated() {
-        assert!(parse_sweepable(&["--spec", "s", "--shard", "0/2"]).is_err());
-        assert!(parse_sweepable(&["--spec", "s", "--shard", "3/2"]).is_err());
-        assert!(parse_sweepable(&["--spec", "s", "--shard", "x"]).is_err());
-    }
-
-    #[test]
-    fn non_sweepable_binaries_reject_spec_flags_loudly() {
-        let err = parse(&["--spec", "s.json"]).unwrap_err();
-        assert!(err.contains("bicord sweep"), "{err}");
-        assert!(parse(&["--shard", "1/2"]).is_err());
+    fn trace_is_an_error_without_a_traced_config() {
+        let untraced = |args: &[&str]| BenchCli::parse(args.iter().map(|s| s.to_string()), false);
+        let err = untraced(&["--trace", "t.jsonl"]).unwrap_err();
+        assert!(err.contains("--trace"), "{err}");
+        assert!(untraced(&["--quick", "--out", "p.json"]).is_ok());
     }
 
     #[test]
@@ -413,13 +280,8 @@ mod tests {
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--threads", "x"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
+        assert!(parse(&["--spec", "s.json"]).is_err());
         assert_eq!(parse(&["--help"]).unwrap_err(), "help");
-    }
-
-    #[test]
-    fn usage_mentions_sweep_flags_only_when_supported() {
-        assert!(usage("multi_node", true).contains("--shard"));
-        assert!(!usage("fig3_csi", false).contains("--shard"));
     }
 
     #[test]

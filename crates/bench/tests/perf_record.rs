@@ -1,4 +1,4 @@
-//! `BENCH_results.json` handling of a real bench binary: records merge
+//! `BENCH_results.json` handling of a real `bicord-bench` run: records merge
 //! into a valid file without touching the other entries, and a file that
 //! does not parse is refused rather than overwritten.
 
@@ -6,8 +6,8 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn run_cti_accuracy(results: &PathBuf) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_cti_accuracy"))
-        .arg("--quick")
+    Command::new(env!("CARGO_BIN_EXE_bicord-bench"))
+        .args(["cti_accuracy", "--quick"])
         .env("BICORD_BENCH_JSON", results)
         .env("BICORD_THREADS", "1")
         .output()

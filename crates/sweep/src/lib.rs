@@ -81,10 +81,7 @@ pub use bicord_sim::json;
 pub use artifact::{QuarantineRecord, ShardContents};
 pub use contract::{Cell, ParamKind, ParamValue, ResultRow, SweepSpec};
 pub use registry::{ParamSpec, Scenario, ScenarioRegistry};
-pub use runner::{
-    merge, run_cells, run_shard, run_shard_supervised, run_spec_file, run_spec_file_supervised,
-    ShardOutcome,
-};
+pub use runner::{merge, run_cells, run_shard, run_shard_supervised, ShardOutcome};
 pub use shard::{shard_index, Shard};
 pub use supervise::{run_cells_supervised, CellFailure, ChaosConfig, RunPolicy, SupervisedCells};
 

@@ -19,8 +19,8 @@ trace="$tmpdir/trace.jsonl"
 
 echo "analyze_smoke: tracing multi_node --quick..."
 BICORD_BENCH_JSON=0 \
-    cargo run -q --offline --release -p bicord-bench --bin multi_node \
-    -- --quick --trace "$trace" >/dev/null
+    cargo run -q --offline --release -p bicord-bench --bin bicord-bench \
+    -- multi_node --quick --trace "$trace" >/dev/null
 
 echo "analyze_smoke: summarize with section asserts..."
 cargo run -q --offline --release --bin bicord -- \

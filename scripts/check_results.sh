@@ -1,44 +1,50 @@
 #!/usr/bin/env bash
 # Checks that the committed experiment outputs under `results/` still
-# match what the bench binaries print, at every worker-thread count:
-# builds every binary that has a `results/<name>.txt`, runs it at full
-# scale with the perf record disabled, once with BICORD_THREADS=1 and
-# once with BICORD_THREADS=8, and `diff -u`s each run's stdout against
-# the committed file. Exits 1 naming every file and thread count that
-# drifted. EXPERIMENTS.md's "Reproducing" loop regenerates the files.
+# match what `bicord-bench` prints and exports, at every worker-thread
+# count: builds the binary, runs every figure that has a
+# `results/<figure>.txt` at full scale with the perf record disabled and
+# CSV export on, once with BICORD_THREADS=1 and once with
+# BICORD_THREADS=8, `diff -u`s each run's stdout against the committed
+# file, and `diff -ru`s the exported CSVs against `results/csv/` (a CSV
+# missing on either side is drift too). Exits 1 naming every file and
+# thread count that drifted. EXPERIMENTS.md's "Reproducing" loop
+# regenerates the files.
 #
 # Usage: scripts/check_results.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-bins=()
+cargo build -q --offline --release -p bicord-bench --bin bicord-bench
+bench="${CARGO_TARGET_DIR:-target}/release/bicord-bench"
+
+figures=()
 for f in results/*.txt; do
-    bins+=("$(basename "$f" .txt)")
+    figures+=("$(basename "$f" .txt)")
 done
 
-bin_flags=()
-for b in "${bins[@]}"; do
-    bin_flags+=(--bin "$b")
-done
-cargo build -q --offline --release -p bicord-bench "${bin_flags[@]}"
-
-target="${CARGO_TARGET_DIR:-target}/release"
-tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 drifted=()
-for b in "${bins[@]}"; do
-    for threads in 1 8; do
-        BICORD_THREADS="$threads" BICORD_BENCH_JSON=0 "$target/$b" > "$tmp" 2>/dev/null
-        if ! diff -u --label "results/$b.txt" --label "$b output, $threads thread(s)" \
-            "results/$b.txt" "$tmp"; then
-            drifted+=("$b@$threads")
+for threads in 1 8; do
+    csv="$tmp/csv-$threads"
+    mkdir "$csv"
+    for figure in "${figures[@]}"; do
+        BICORD_THREADS="$threads" BICORD_BENCH_JSON=0 BICORD_CSV_DIR="$csv" \
+            "$bench" "$figure" > "$tmp/out" 2>/dev/null
+        if ! diff -u --label "results/$figure.txt" \
+            --label "$figure output, $threads thread(s)" \
+            "results/$figure.txt" "$tmp/out"; then
+            drifted+=("$figure@$threads")
         fi
     done
+    if ! diff -ru results/csv "$csv"; then
+        drifted+=("csv@$threads")
+    fi
 done
 
 if [ "${#drifted[@]}" -gt 0 ]; then
     echo "check_results: results/ drifted for: ${drifted[*]}" >&2
     exit 1
 fi
-echo "check_results: all ${#bins[@]} results/ files match at 1 and 8 threads" >&2
+echo "check_results: all ${#figures[@]} results/ files and every CSV match at 1 and 8 threads" >&2

@@ -62,9 +62,10 @@
 //! );
 //! ```
 //!
-//! Run `cargo run -p bicord-bench --bin fig10_comparison` (and its
-//! siblings) to regenerate every table and figure of the paper; see
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! Run `cargo run -p bicord-bench --bin bicord-bench -- fig10_comparison`
+//! (or any other name of its figure table) to regenerate a table or
+//! figure of the paper; see `EXPERIMENTS.md` for the paper-vs-measured
+//! record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -231,3 +231,29 @@ fn ecc_waste_grows_with_sparser_traffic() {
     );
     assert!(bicord_sparse > ecc_sparse + 0.1);
 }
+
+#[test]
+fn disjoint_channels_need_no_coordination() {
+    // Wi-Fi channel 1 (2.401–2.423 GHz) and ZigBee channel 26 (2.480 GHz)
+    // do not overlap: the ZigBee node never loses a packet to Wi-Fi, so
+    // it never asks for a white space. Ambient-noise false detections
+    // still make the Wi-Fi side reserve now and then, so its
+    // reservations are not asserted.
+    for seed in [1, 7, 20_210_705] {
+        for location in Location::all() {
+            let config = SimConfig::builder()
+                .seed(seed)
+                .location(location)
+                .wifi_channel(1)
+                .zigbee_channel(26)
+                .build()
+                .unwrap();
+            let z = run_secs(config, 10).zigbee;
+            let at = format!("seed {seed}, {location}");
+            assert_eq!(z.signaling_rounds, 0, "{at}");
+            assert_eq!(z.control_packets, 0, "{at}");
+            assert_eq!(z.csma_fallbacks, 0, "{at}");
+            assert_eq!(z.delivered, z.generated, "{at}");
+        }
+    }
+}
