@@ -18,15 +18,15 @@
 //! * [`RuleKind::MaxDropPct`] — higher-is-better throughput/quality
 //!   floors: breach when `current < baseline × (1 - limit/100)`.
 //! * [`RuleKind::MaxValue`] — absolute ceilings evaluated on the current
-//!   file alone (no baseline entry needed), e.g. quarantined-cell counts.
+//!   file alone (no baseline entry needed), e.g. a fallback count.
 //!
 //! A baseline metric gated by a relative rule must reappear in the
 //! current file: a missing entry or metric is a breach, so a renamed
 //! metric or an experiment that stops recording cannot loosen a floor.
 //!
-//! The default rule set (see [`default_rules`]) is PDR/utilization
-//! floors plus a zero ceiling on `quarantined_cells`. `--rules FILE`
-//! replaces it with a JSON list; see `docs/ANALYTICS.md` for the format.
+//! The default rule set (see [`default_rules`]) is the PDR/utilization
+//! floors. `--rules FILE` replaces it with a JSON list of any of the
+//! three kinds; see `docs/ANALYTICS.md` for the format.
 
 use std::fmt::Write as _;
 
@@ -180,8 +180,7 @@ impl BudgetRule {
     }
 }
 
-/// The built-in rule set: the deterministic PDR/utilization floors and
-/// the quarantined-cell ceiling.
+/// The built-in rule set: the deterministic PDR/utilization floors.
 pub fn default_rules() -> Vec<BudgetRule> {
     vec![
         BudgetRule {
@@ -197,13 +196,6 @@ pub fn default_rules() -> Vec<BudgetRule> {
             exclude: String::new(),
             kind: RuleKind::MaxDropPct,
             limit: DEFAULT_DROP_PCT,
-        },
-        BudgetRule {
-            experiment: String::new(),
-            metric: "quarantined_cells".to_string(),
-            exclude: String::new(),
-            kind: RuleKind::MaxValue,
-            limit: 0.0,
         },
     ]
 }
@@ -637,10 +629,7 @@ mod tests {
             gated("robustness_sweep", "worst_rate_utilization"),
             Some(RuleKind::MaxDropPct)
         );
-        assert_eq!(
-            gated("anything", "quarantined_cells"),
-            Some(RuleKind::MaxValue)
-        );
+        assert_eq!(gated("anything", "quarantined_cells"), None);
     }
 
     #[test]
@@ -668,18 +657,24 @@ mod tests {
 
     #[test]
     fn throughput_floor_and_quarantine_ceiling() {
+        // `max_value` ceilings come from `--rules` files only.
+        let mut rules = default_rules();
+        rules.extend(
+            parse_rules(r#"[{"metric": "quarantined_cells", "rule": "max_value", "limit": 0}]"#)
+                .unwrap(),
+        );
         let baseline = file(&[MULTI]);
         let dropped = MULTI
             .replace("0.92", "0.80")
             .replace("\"quarantined_cells\": 0", "\"quarantined_cells\": 2");
         let current = file(&[&dropped]);
-        let report = evaluate(&baseline, &current, &default_rules());
+        let report = evaluate(&baseline, &current, &rules);
         let breaches = report.breach_lines();
         assert_eq!(breaches.len(), 2, "{breaches:?}");
         assert!(breaches.iter().any(|b| b.contains("mean_aggregate_pdr")));
         assert!(breaches.iter().any(|b| b.contains("quarantined_cells")));
         // The ceiling row needs no baseline.
-        let report = evaluate(&[], &current, &default_rules());
+        let report = evaluate(&[], &current, &rules);
         assert_eq!(report.breach_lines().len(), 1);
         assert!(report.breach_lines()[0].contains("quarantined_cells"));
     }

@@ -12,6 +12,8 @@
 
 use std::path::PathBuf;
 
+use bicord_sim::stdout::print;
+
 use crate::bench::{
     blessable, default_rules, evaluate, parse_bench_file, parse_rules, BenchEntry, BudgetRule,
 };
@@ -86,7 +88,7 @@ baseline metric missing from CURRENT is a breach):
   CURRENT               results file            [BENCH_results.json]
   --baseline FILE       baseline file  [scripts/bench_baseline.json]
   --rules FILE          JSON budget rules (docs/ANALYTICS.md)
-                        [PDR/utilization floors, quarantine ceiling]
+                        [PDR/utilization floors]
   --out FILE            also write a markdown report
   --bless               rewrite the baseline from CURRENT and exit
 
@@ -186,7 +188,7 @@ pub fn run<I: Iterator<Item = String>>(args: I) -> i32 {
     let command = match parse(args) {
         Ok(c) => c,
         Err(e) if e == "help" => {
-            println!("{}", usage());
+            print(&format!("{}\n", usage()));
             return 0;
         }
         Err(e) => {
@@ -214,8 +216,8 @@ fn execute(command: &Command) -> Result<i32, String> {
             let parsed = TraceFile::read(trace).map_err(|e| format!("{}: {e}", trace.display()))?;
             let analytics = Analytics::compute(&parsed, &SummarizeOptions { bins: *bins });
             match format {
-                Format::Text => print!("{}", analytics.render_text(&parsed)),
-                Format::Json => println!("{}", analytics.render_json(&parsed)),
+                Format::Text => print(&analytics.render_text(&parsed)),
+                Format::Json => print(&format!("{}\n", analytics.render_json(&parsed))),
             }
             let mut missing = Vec::new();
             for section in asserts {
@@ -246,11 +248,10 @@ fn execute(command: &Command) -> Result<i32, String> {
             );
             let diff = diff_traces(&ta, &tb);
             match format {
-                Format::Text => print!(
-                    "{}",
-                    diff.render_text(&a.display().to_string(), &b.display().to_string())
-                ),
-                Format::Json => println!("{}", diff.render_json()),
+                Format::Text => {
+                    print(&diff.render_text(&a.display().to_string(), &b.display().to_string()))
+                }
+                Format::Json => print(&format!("{}\n", diff.render_json())),
             }
             Ok(if diff.identical() { 0 } else { 1 })
         }
@@ -290,7 +291,7 @@ fn execute(command: &Command) -> Result<i32, String> {
                     current.display()
                 ));
             }
-            print!("{}", report.render_text());
+            print(&report.render_text());
             if let Some(out) = out {
                 std::fs::write(out, report.render_markdown())
                     .map_err(|e| format!("{}: {e}", out.display()))?;

@@ -12,8 +12,8 @@
 //!   same schema: which record populations appeared, vanished, or
 //!   changed, keyed by kind and node.
 //! * **diff-bench** ([`mod@bench`]) — compare two `BENCH_results.json` files
-//!   under per-metric budget rules (PDR/utilization floors, quarantine
-//!   ceilings, and relative limits from a rules file) with a pass/fail
+//!   under per-metric budget rules (PDR/utilization floors, plus
+//!   relative limits and absolute ceilings from a rules file) with a pass/fail
 //!   exit code; this is the CI `perf-budget-report` gate. Host time is
 //!   judged by `scripts/ab.sh` instead.
 //!

@@ -7,6 +7,7 @@ use bicord_analyze::diff::diff_traces;
 use bicord_analyze::summarize::{Analytics, SummarizeOptions};
 use bicord_analyze::trace::TraceFile;
 use bicord_scenario::config::SimConfig;
+use bicord_scenario::geometry::Location;
 use bicord_scenario::sim::CoexistenceSim;
 use bicord_sim::obs::{JsonlSink, TraceHeader};
 use bicord_sim::SimDuration;
@@ -16,11 +17,10 @@ fn traced_run(seed: u64, tag: &str) -> TraceFile {
     let dir = std::env::temp_dir().join(format!("bicord-analyze-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(format!("seed{seed}-{tag}.jsonl"));
-    let config = SimConfig::builder()
-        .seed(seed)
-        .duration(SimDuration::from_millis(800))
-        .build()
-        .expect("valid config");
+    let config = SimConfig {
+        duration: SimDuration::from_millis(800),
+        ..SimConfig::bicord(Location::A, seed)
+    };
     let header = TraceHeader::new(config.seed, "bicord", config.duration.as_micros());
     let mut sink = JsonlSink::create(&path, &header).expect("create trace");
     CoexistenceSim::with_sink(config, &mut sink)

@@ -221,9 +221,8 @@ fn main() {
     perf.cells(sizes.len());
     perf.finish();
 
-    println!("{table}");
-    println!(
-        "flatness (largest / smallest world): sensed {sensed_flatness:.2}x, \
-         interference {interference_flatness:.2}x (target: ~flat, <2x)"
-    );
+    bicord_sim::stdout::print(&format!(
+        "{table}\nflatness (largest / smallest world): sensed {sensed_flatness:.2}x, \
+         interference {interference_flatness:.2}x (target: ~flat, <2x)\n"
+    ));
 }

@@ -82,7 +82,7 @@ impl BenchCli {
         match BenchCli::parse(args, traceable) {
             Ok(cli) => cli,
             Err(e) if e == "help" => {
-                println!("{usage}");
+                bicord_sim::stdout::print(&format!("{usage}\n"));
                 std::process::exit(0);
             }
             Err(e) => {

@@ -11,7 +11,6 @@
 
 use std::fmt::{Display, Write as _};
 
-use bicord_core::allocation::AllocatorConfig;
 use bicord_core::energy::{clear_channel_burst, failed_attempt};
 use bicord_ctc::delay_models::CtcScheme;
 use bicord_ctc::folding::{evaluate_folding, FoldingConfig};
@@ -119,11 +118,7 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 
 /// The representative run `--trace` records for Tables I and II.
 fn table1_2_trace() -> SimConfig {
-    SimConfig::builder()
-        .seed(BENCH_SEED)
-        .signaling_trial(4, 60, Dbm::new(0.0))
-        .build()
-        .expect("trace config is valid")
+    SimConfig::signaling_trial(Location::A, BENCH_SEED, 4, 60, Dbm::new(0.0))
 }
 
 /// Tables I and II: precision and recall of cross-technology signaling
@@ -298,17 +293,12 @@ fn fig3_csi(_scale: Scale) -> Output {
 
 /// The representative run `--trace` records for Fig. 7.
 fn fig7_trace() -> SimConfig {
-    SimConfig::builder()
-        .seed(BENCH_SEED)
-        .duration(SimDuration::from_secs(8))
-        .burst(10, 50)
-        .arrivals(ArrivalProcess::Periodic(SimDuration::from_millis(200)))
-        .allocator(AllocatorConfig {
-            initial_step: SimDuration::from_millis(30),
-            ..AllocatorConfig::default()
-        })
-        .build()
-        .expect("trace config is valid")
+    let mut config = SimConfig::bicord(Location::A, BENCH_SEED);
+    config.duration = SimDuration::from_secs(8);
+    config.zigbee.burst.n_packets = 10;
+    config.zigbee.arrivals = ArrivalProcess::Periodic(SimDuration::from_millis(200));
+    config.allocator.initial_step = SimDuration::from_millis(30);
+    config
 }
 
 /// Fig. 7: the white-space length granted per iteration of the
@@ -440,11 +430,10 @@ fn fig9_whitespace(scale: Scale) -> Output {
 
 /// The representative run `--trace` records for both Fig. 10 variants.
 fn fig10_trace() -> SimConfig {
-    SimConfig::builder()
-        .seed(BENCH_SEED)
-        .duration(SimDuration::from_secs(5))
-        .build()
-        .expect("trace config is valid")
+    SimConfig {
+        duration: SimDuration::from_secs(5),
+        ..SimConfig::bicord(Location::A, BENCH_SEED)
+    }
 }
 
 /// Fig. 10: BiCord versus ECC-20/30/40 ms over the paper's five Poisson
@@ -1008,12 +997,11 @@ fn metric(row: &ResultRow, name: &str) -> f64 {
 
 /// The representative run `--trace` records for the multi-node grid.
 fn multi_node_trace() -> SimConfig {
-    SimConfig::builder()
-        .seed(BENCH_SEED)
-        .duration(SimDuration::from_secs(5))
-        .extra_node(ExtraNodeConfig::at(Location::C))
-        .build()
-        .expect("trace config is valid")
+    SimConfig {
+        duration: SimDuration::from_secs(5),
+        extra_nodes: vec![ExtraNodeConfig::at(Location::C)],
+        ..SimConfig::bicord(Location::A, BENCH_SEED)
+    }
 }
 
 /// The Sec. VI extension: **multiple coexisting ZigBee nodes with
@@ -1308,7 +1296,7 @@ mod tests {
         let mut traced = Vec::new();
         for figure in &FIGURES {
             if let Some(config) = figure.trace {
-                config();
+                config().validate().expect("trace config is valid");
                 traced.push(figure.name);
             }
         }

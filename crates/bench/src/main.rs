@@ -35,7 +35,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let figure = match args.next() {
         Some(flag) if flag == "--help" || flag == "-h" => {
-            println!("{}", usage());
+            bicord_sim::stdout::print(&format!("{}\n", usage()));
             return;
         }
         Some(name) if !name.starts_with('-') => figures::find(&name).unwrap_or_else(|| {
@@ -66,7 +66,7 @@ fn main() {
     for (name, table) in &out.csvs {
         maybe_write_csv(name, table);
     }
-    print!("{}", out.text);
+    bicord_sim::stdout::print(&out.text);
 
     if let Some(failure) = out.failure {
         eprintln!("error: {failure}");

@@ -237,23 +237,6 @@ impl DeviationSampler {
             deviation: self.deviation(rng),
         }
     }
-
-    /// Fills `out` with `n` consecutive samples starting at `start`,
-    /// reusing `out`'s allocation.
-    pub fn sample_batch_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        start: SimTime,
-        period: SimDuration,
-        n: usize,
-        out: &mut Vec<CsiSample>,
-    ) {
-        out.clear();
-        out.reserve(n);
-        for i in 0..n {
-            out.push(self.sample(rng, start + period * i as u64));
-        }
-    }
 }
 
 impl Default for CsiModel {
@@ -399,22 +382,6 @@ mod tests {
                 let t = SimTime::from_micros(i * 500);
                 assert_eq!(m.sample(&mut r1, t, d), sampler.sample(&mut r2, t));
             }
-        }
-    }
-
-    #[test]
-    fn sample_batch_reuses_buffer_and_matches() {
-        let m = CsiModel::intel5300();
-        let sampler = m.sampler(Disturbance::Zigbee { sir_db: -12.0 });
-        let mut r1 = rng(4);
-        let mut r2 = rng(4);
-        let mut buf = Vec::new();
-        for _ in 0..3 {
-            sampler.sample_batch_into(&mut r1, SimTime::ZERO, m.sample_period(), 100, &mut buf);
-            let loose: Vec<CsiSample> = (0..100u64)
-                .map(|i| sampler.sample(&mut r2, SimTime::ZERO + m.sample_period() * i))
-                .collect();
-            assert_eq!(buf, loose);
         }
     }
 

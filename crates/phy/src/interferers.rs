@@ -127,24 +127,7 @@ impl TraceConfig {
     }
 }
 
-/// Reusable scratch space for [`generate_trace_into`].
-///
-/// Detection experiments generate tens of thousands of traces; reusing one
-/// scratch (and one output [`RssiTrace`]) across calls keeps the per-trace
-/// cost allocation-free after warm-up.
-#[derive(Debug, Default, Clone)]
-pub struct TraceScratch {
-    // Per-slot on/off pattern for Bluetooth, drawn once per slot index.
-    // Cleared (capacity kept) on every call so the RNG draw sequence is
-    // identical to a fresh cache.
-    bt_slots: Vec<bool>,
-}
-
 /// Generates one RSSI trace of `duration` under `config`.
-///
-/// Allocates a fresh trace per call; tight loops should prefer
-/// [`generate_trace_into`], which produces bit-identical samples while
-/// reusing buffers.
 ///
 /// # Example
 ///
@@ -161,37 +144,8 @@ pub fn generate_trace<R: Rng + ?Sized>(
     config: &TraceConfig,
     duration: SimDuration,
 ) -> RssiTrace {
-    let mut trace = RssiTrace {
-        sample_period: TRACE_SAMPLE_PERIOD,
-        samples: Vec::new(),
-    };
-    generate_trace_into(
-        rng,
-        config,
-        duration,
-        &mut TraceScratch::default(),
-        &mut trace,
-    );
-    trace
-}
-
-/// Fills `trace` with `duration` worth of samples under `config`, reusing
-/// `scratch` and `trace`'s existing allocations.
-///
-/// Produces exactly the same samples (and consumes exactly the same RNG
-/// draws) as [`generate_trace`] for the same inputs.
-pub fn generate_trace_into<R: Rng + ?Sized>(
-    rng: &mut R,
-    config: &TraceConfig,
-    duration: SimDuration,
-    scratch: &mut TraceScratch,
-    trace: &mut RssiTrace,
-) {
     let n = (duration / TRACE_SAMPLE_PERIOD) as usize;
-    trace.sample_period = TRACE_SAMPLE_PERIOD;
-    let samples = &mut trace.samples;
-    samples.clear();
-    samples.reserve(n);
+    let mut samples = Vec::with_capacity(n);
     // Random phase offset into the interferer's schedule so traces are not
     // aligned with frame boundaries.
     let period_us = config.frame_interval.as_micros().max(1);
@@ -203,8 +157,8 @@ pub fn generate_trace_into<R: Rng + ?Sized>(
     // ≈ 90 % (not 100 %) identification rate.
     let trace_offset_db = normal(rng, 0.0, 2.8);
 
-    let bt_slot_cache = &mut scratch.bt_slots;
-    bt_slot_cache.clear();
+    // Bluetooth's per-slot on/off pattern, drawn once per slot index.
+    let mut bt_slot_cache: Vec<bool> = Vec::new();
 
     for i in 0..n {
         let t_us = i as u64 * TRACE_SAMPLE_PERIOD.as_micros() + phase;
@@ -249,6 +203,10 @@ pub fn generate_trace_into<R: Rng + ?Sized>(
             config.noise_floor_dbm + normal(rng, 0.0, 1.2).abs()
         };
         samples.push(value);
+    }
+    RssiTrace {
+        sample_period: TRACE_SAMPLE_PERIOD,
+        samples,
     }
 }
 
@@ -377,38 +335,6 @@ mod tests {
         let near = level(-40.0, &mut r);
         let far = level(-60.0, &mut r);
         assert!(near > far + 10.0);
-    }
-
-    #[test]
-    fn into_variant_matches_allocating_variant() {
-        // Reused buffers must not change a single sample or RNG draw, even
-        // when a Bluetooth trace (which fills the slot cache) is generated
-        // between two Wi-Fi traces.
-        let configs = [
-            TraceConfig::wifi(-45.0),
-            TraceConfig::bluetooth(-45.0),
-            TraceConfig::wifi(-45.0),
-            TraceConfig::microwave(-35.0),
-            TraceConfig::zigbee(-50.0),
-        ];
-        let mut fresh_rng = rng(7);
-        let mut reuse_rng = rng(7);
-        let mut scratch = TraceScratch::default();
-        let mut reused = RssiTrace {
-            sample_period: TRACE_SAMPLE_PERIOD,
-            samples: Vec::new(),
-        };
-        for cfg in &configs {
-            let fresh = generate_trace(&mut fresh_rng, cfg, TRACE_DURATION);
-            generate_trace_into(
-                &mut reuse_rng,
-                cfg,
-                TRACE_DURATION,
-                &mut scratch,
-                &mut reused,
-            );
-            assert_eq!(fresh, reused);
-        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Scenario configuration and result structures.
 //!
-//! Construct a [`SimConfig`] either from a preset
-//! ([`SimConfig::bicord`], [`SimConfig::ecc`], ...) or with the checked
-//! [`SimConfig::builder`]; [`crate::sim::CoexistenceSim::new`] validates
-//! either way and rejects inconsistent combinations with [`ConfigError`].
+//! Construct a [`SimConfig`] from a preset ([`SimConfig::bicord`],
+//! [`SimConfig::ecc`], [`SimConfig::unprotected`],
+//! [`SimConfig::signaling_trial`]) and override its public fields;
+//! [`crate::sim::CoexistenceSim::new`] validates it and rejects
+//! inconsistent combinations with [`ConfigError`].
 
 use std::error::Error;
 use std::fmt;
@@ -305,31 +306,8 @@ impl SimConfig {
             .unwrap_or_else(|| self.location.paper_signal_power())
     }
 
-    /// A checked, chainable constructor (starts from the BiCord preset at
-    /// [`Location::A`], seed 0).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use bicord_scenario::config::SimConfig;
-    /// use bicord_scenario::geometry::Location;
-    /// use bicord_sim::SimDuration;
-    ///
-    /// let config = SimConfig::builder()
-    ///     .location(Location::C)
-    ///     .seed(7)
-    ///     .duration(SimDuration::from_secs(5))
-    ///     .build()
-    ///     .expect("valid configuration");
-    /// assert_eq!(config.seed, 7);
-    /// ```
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder::new()
-    }
-
     /// Checks the configuration for inconsistent mode/traffic/geometry
-    /// combinations. [`crate::sim::CoexistenceSim::new`] calls this;
-    /// builders call it in [`SimConfigBuilder::build`].
+    /// combinations. [`crate::sim::CoexistenceSim::new`] calls this.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(1..=13).contains(&self.wifi_channel) {
             return Err(ConfigError::InvalidWifiChannel(self.wifi_channel));
@@ -501,205 +479,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl Error for ConfigError {}
-
-/// Chainable, validated constructor for [`SimConfig`].
-///
-/// Wraps a full [`SimConfig`] (starting from the BiCord preset), so every
-/// preset field keeps its paper default unless overridden;
-/// [`SimConfigBuilder::build`] runs [`SimConfig::validate`].
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    config: SimConfig,
-}
-
-impl Default for SimConfigBuilder {
-    fn default() -> Self {
-        SimConfigBuilder::new()
-    }
-}
-
-impl SimConfigBuilder {
-    /// Starts from the BiCord preset at [`Location::A`], seed 0.
-    pub fn new() -> Self {
-        SimConfigBuilder {
-            config: SimConfig::bicord(Location::A, 0),
-        }
-    }
-
-    /// Master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Virtual run length.
-    pub fn duration(mut self, duration: SimDuration) -> Self {
-        self.config.duration = duration;
-        self
-    }
-
-    /// ZigBee sender location (Fig. 6).
-    pub fn location(mut self, location: Location) -> Self {
-        self.config.location = location;
-        self
-    }
-
-    /// Coordination scheme (any [`Mode`] value).
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.config.mode = mode;
-        self
-    }
-
-    /// BiCord coordination (the default).
-    pub fn bicord(self) -> Self {
-        self.mode(Mode::Bicord)
-    }
-
-    /// ECC baseline with the given fixed white-space length.
-    pub fn ecc(self, white_space: SimDuration) -> Self {
-        self.mode(Mode::Ecc(EccConfig::with_white_space(white_space)))
-    }
-
-    /// Plain CSMA under interference (no coordination).
-    pub fn unprotected(self) -> Self {
-        self.mode(Mode::Unprotected)
-    }
-
-    /// Table I/II signaling-trial mode; also sizes the run duration to
-    /// cover the trials and applies the signaling-power override.
-    pub fn signaling_trial(mut self, control_packets: u32, trials: u32, signal_power: Dbm) -> Self {
-        let trial_period = SimDuration::from_millis(100);
-        self.config.mode = Mode::SignalingTrial {
-            control_packets,
-            trial_period,
-            trials,
-        };
-        self.config.zigbee.signal_power = Some(signal_power);
-        self.config.duration = trial_period * u64::from(trials) + SimDuration::from_millis(50);
-        self
-    }
-
-    /// Primary node burst shape (`n_packets` packets of `mpdu_bytes`).
-    pub fn burst(mut self, n_packets: u32, mpdu_bytes: usize) -> Self {
-        self.config.zigbee.burst = BurstSpec {
-            n_packets,
-            mpdu_bytes,
-        };
-        self
-    }
-
-    /// Primary node burst arrival process.
-    pub fn arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.config.zigbee.arrivals = arrivals;
-        self
-    }
-
-    /// Replaces the whole ZigBee traffic configuration.
-    pub fn zigbee(mut self, zigbee: ZigbeeTrafficConfig) -> Self {
-        self.config.zigbee = zigbee;
-        self
-    }
-
-    /// Replaces the whole Wi-Fi traffic configuration.
-    pub fn wifi(mut self, wifi: WifiTrafficConfig) -> Self {
-        self.config.wifi = wifi;
-        self
-    }
-
-    /// Adds one extra ZigBee sender/receiver pair.
-    pub fn extra_node(mut self, node: ExtraNodeConfig) -> Self {
-        self.config.extra_nodes.push(node);
-        self
-    }
-
-    /// Adds a second contending Wi-Fi station.
-    pub fn extra_wifi(mut self, wifi: ExtraWifiConfig) -> Self {
-        self.config.extra_wifi = Some(wifi);
-        self
-    }
-
-    /// Adds an active Bluetooth interferer.
-    pub fn bluetooth(mut self, bt: BluetoothConfig) -> Self {
-        self.config.bluetooth = Some(bt);
-        self
-    }
-
-    /// Ambient noise-burst process.
-    pub fn noise(mut self, noise: NoiseBurstProcess) -> Self {
-        self.config.noise = noise;
-        self
-    }
-
-    /// Walking-person disturbance timeline (Sec. VIII-F).
-    pub fn person(mut self, person: PersonMobility) -> Self {
-        self.config.person = Some(person);
-        self
-    }
-
-    /// ZigBee-sender movement timeline (Sec. VIII-F).
-    pub fn device_mobility(mut self, mobility: DeviceMobility) -> Self {
-        self.config.device_mobility = Some(mobility);
-        self
-    }
-
-    /// Wi-Fi priority schedule (Sec. VIII-G).
-    pub fn priority(mut self, schedule: PrioritySchedule) -> Self {
-        self.config.priority = Some(schedule);
-        self
-    }
-
-    /// CSI detector rule.
-    pub fn detector(mut self, detector: DetectorConfig) -> Self {
-        self.config.detector = detector;
-        self
-    }
-
-    /// White-space allocator parameters.
-    pub fn allocator(mut self, allocator: AllocatorConfig) -> Self {
-        self.config.allocator = allocator;
-        self
-    }
-
-    /// ZigBee client parameters.
-    pub fn client(mut self, client: ClientConfig) -> Self {
-        self.config.client = client;
-        self
-    }
-
-    /// Fault-injection profile.
-    pub fn fault(mut self, fault: FaultProfile) -> Self {
-        self.config.fault = fault;
-        self
-    }
-
-    /// Record a [`ChannelTrace`] of every transmission and white space.
-    pub fn record_trace(mut self, record: bool) -> Self {
-        self.config.record_trace = record;
-        self
-    }
-
-    /// Wi-Fi channel (1–13).
-    pub fn wifi_channel(mut self, channel: u8) -> Self {
-        self.config.wifi_channel = channel;
-        self
-    }
-
-    /// ZigBee channel (11–26).
-    pub fn zigbee_channel(mut self, channel: u8) -> Self {
-        self.config.zigbee_channel = channel;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`] found by [`SimConfig::validate`].
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
 
 /// ZigBee-side outcome counters.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -967,36 +746,23 @@ mod tests {
         assert_eq!(r.zigbee_pdr(), 0.0);
     }
 
-    #[test]
-    fn builder_defaults_equal_bicord_preset() {
-        let built = SimConfig::builder().build().unwrap();
-        assert_eq!(built, SimConfig::bicord(Location::A, 0));
-    }
-
-    #[test]
-    fn builder_overrides_compose() {
-        let c = SimConfig::builder()
-            .seed(9)
-            .location(Location::C)
-            .duration(SimDuration::from_secs(3))
-            .burst(10, 50)
-            .ecc(SimDuration::from_millis(20))
-            .build()
-            .unwrap();
-        assert_eq!(c.seed, 9);
-        assert_eq!(c.location, Location::C);
-        assert_eq!(c.zigbee.burst.n_packets, 10);
-        assert!(matches!(c.mode, Mode::Ecc(_)));
+    /// The BiCord preset at [`Location::A`], seed 0, with one change.
+    fn bicord_with(change: impl FnOnce(&mut SimConfig)) -> SimConfig {
+        let mut c = SimConfig::bicord(Location::A, 0);
+        change(&mut c);
+        c
     }
 
     #[test]
     fn validate_rejects_bad_channels() {
         assert_eq!(
-            SimConfig::builder().wifi_channel(0).build().unwrap_err(),
+            bicord_with(|c| c.wifi_channel = 0).validate().unwrap_err(),
             ConfigError::InvalidWifiChannel(0)
         );
         assert_eq!(
-            SimConfig::builder().zigbee_channel(27).build().unwrap_err(),
+            bicord_with(|c| c.zigbee_channel = 27)
+                .validate()
+                .unwrap_err(),
             ConfigError::InvalidZigbeeChannel(27)
         );
     }
@@ -1004,20 +770,20 @@ mod tests {
     #[test]
     fn validate_rejects_degenerate_runs() {
         assert_eq!(
-            SimConfig::builder()
-                .duration(SimDuration::ZERO)
-                .build()
+            bicord_with(|c| c.duration = SimDuration::ZERO)
+                .validate()
                 .unwrap_err(),
             ConfigError::ZeroDuration
         );
         assert_eq!(
-            SimConfig::builder().burst(0, 50).build().unwrap_err(),
+            bicord_with(|c| c.zigbee.burst.n_packets = 0)
+                .validate()
+                .unwrap_err(),
             ConfigError::EmptyBurst { node: 0 }
         );
         assert_eq!(
-            SimConfig::builder()
-                .arrivals(ArrivalProcess::Poisson(SimDuration::ZERO))
-                .build()
+            bicord_with(|c| c.zigbee.arrivals = ArrivalProcess::Poisson(SimDuration::ZERO))
+                .validate()
                 .unwrap_err(),
             ConfigError::NonPositiveInterval {
                 what: "primary ZigBee burst arrivals"
@@ -1027,33 +793,28 @@ mod tests {
 
     #[test]
     fn validate_rejects_inconsistent_trial_mode() {
-        let err = SimConfig::builder()
-            .signaling_trial(4, 10, Dbm::new(0.0))
-            .extra_node(ExtraNodeConfig::at(Location::B))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::TrialWithExtraNodes);
-        let err = SimConfig::builder()
-            .signaling_trial(4, 10, Dbm::new(0.0))
-            .duration(SimDuration::from_secs(1)) // restore a duration
-            .mode(Mode::SignalingTrial {
+        let mut c = SimConfig::signaling_trial(Location::A, 0, 4, 10, Dbm::new(0.0));
+        c.extra_nodes.push(ExtraNodeConfig::at(Location::B));
+        assert_eq!(c.validate().unwrap_err(), ConfigError::TrialWithExtraNodes);
+        let c = SimConfig {
+            duration: SimDuration::from_secs(1),
+            mode: Mode::SignalingTrial {
                 control_packets: 0,
                 trial_period: SimDuration::from_millis(100),
                 trials: 10,
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::TrialWithoutTrials { .. }));
+            },
+            ..SimConfig::signaling_trial(Location::A, 0, 4, 10, Dbm::new(0.0))
+        };
+        assert!(matches!(
+            c.validate().unwrap_err(),
+            ConfigError::TrialWithoutTrials { .. }
+        ));
     }
 
     #[test]
     fn validate_rejects_out_of_range_fault_profile() {
-        let err = SimConfig::builder()
-            .fault(FaultProfile {
-                control_loss: 2.0,
-                ..FaultProfile::default()
-            })
-            .build()
+        let err = bicord_with(|c| c.fault.control_loss = 2.0)
+            .validate()
             .unwrap_err();
         assert_eq!(
             err,
@@ -1069,7 +830,9 @@ mod tests {
         let mut node = ExtraNodeConfig::at(Location::B);
         node.burst.n_packets = 0;
         assert_eq!(
-            SimConfig::builder().extra_node(node).build().unwrap_err(),
+            bicord_with(|c| c.extra_nodes.push(node))
+                .validate()
+                .unwrap_err(),
             ConfigError::EmptyBurst { node: 1 }
         );
     }

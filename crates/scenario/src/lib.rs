@@ -18,12 +18,10 @@
 //! use bicord_scenario::sim::CoexistenceSim;
 //! use bicord_sim::SimDuration;
 //!
-//! let config = SimConfig::builder()
-//!     .location(Location::A)
-//!     .seed(1)
-//!     .duration(SimDuration::from_secs(2))
-//!     .build()
-//!     .expect("valid config");
+//! let config = SimConfig {
+//!     duration: SimDuration::from_secs(2),
+//!     ..SimConfig::bicord(Location::A, 1)
+//! };
 //! let results = CoexistenceSim::new(config).unwrap().run();
 //! assert!(results.zigbee.delivered > 0);
 //! ```
@@ -38,6 +36,6 @@ pub mod geometry;
 pub mod sim;
 pub mod trace;
 
-pub use config::{ConfigError, Mode, RunResults, SimConfig, SimConfigBuilder};
+pub use config::{ConfigError, Mode, RunResults, SimConfig};
 pub use geometry::Location;
 pub use sim::CoexistenceSim;

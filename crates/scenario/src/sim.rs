@@ -300,10 +300,11 @@ impl ZbNode {
 ///
 /// ```no_run
 /// use bicord_scenario::config::SimConfig;
+/// use bicord_scenario::geometry::Location;
 /// use bicord_scenario::sim::CoexistenceSim;
 /// use bicord_sim::obs::VecSink;
 ///
-/// let config = SimConfig::builder().build().unwrap();
+/// let config = SimConfig::bicord(Location::A, 0);
 /// let mut sink = VecSink::new();
 /// let results = CoexistenceSim::with_sink(config, &mut sink).unwrap().run();
 /// assert_eq!(results.wifi.reservations, sink.of_kind("reservation").len() as u64);

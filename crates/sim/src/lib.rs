@@ -20,7 +20,9 @@
 //!   [`fault::FaultInjector`]) for robustness studies,
 //! * [`guard`] — runtime invariant guard ([`guard::SimGuard`] /
 //!   [`guard::RuntimeGuard`]) catching stalls, liveness and conservation
-//!   violations, zero-cost when disabled via [`guard::NoopGuard`].
+//!   violations, zero-cost when disabled via [`guard::NoopGuard`],
+//! * [`stdout`] — the binaries' one stdout writer, which survives a
+//!   reader that closes early.
 //!
 //! # Example
 //!
@@ -50,6 +52,7 @@ pub mod json;
 pub mod obs;
 pub mod par;
 pub mod rng;
+pub mod stdout;
 pub mod time;
 
 pub use engine::Engine;

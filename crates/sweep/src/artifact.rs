@@ -80,7 +80,7 @@ fn render_rows(out: &mut String, rows: &[ResultRow]) {
 /// Serializes one shard's artifact (header line + one row per line).
 ///
 /// `quarantined` lists cell ids this shard owns but could not produce
-/// rows for (the supervised runner isolated their failures). The field
+/// rows for ([`crate::runner::run_shard`] isolated their failures). The field
 /// is only emitted when non-empty, so clean shards render byte-for-byte
 /// as they did before supervision existed.
 pub fn render_shard(
@@ -164,7 +164,7 @@ impl std::fmt::Display for ArtifactIssue {
 }
 
 /// What a shard artifact holds: completed rows plus the cell ids the
-/// supervised runner quarantined instead of producing rows for.
+/// runner quarantined instead of producing rows for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardContents {
     /// Completed result rows, in cell order.
@@ -177,7 +177,7 @@ pub struct ShardContents {
 /// declared shard, row-bytes hash, and coverage of exactly
 /// `expected_cells` — every expected cell must appear either as a row
 /// or in the quarantine list, and nowhere twice.
-pub fn read_shard_full(
+pub fn read_shard(
     path: &Path,
     spec: &SweepSpec,
     shard: Shard,
@@ -264,27 +264,7 @@ pub fn read_shard_full(
     Ok(ShardContents { rows, quarantined })
 }
 
-/// [`read_shard_full`] for callers that require a *clean* shard: an
-/// artifact with quarantined cells is reported as a mismatch (the cells
-/// have no rows yet — resume the shard with the supervised runner).
-pub fn read_shard(
-    path: &Path,
-    spec: &SweepSpec,
-    shard: Shard,
-    expected_cells: &[u64],
-) -> Result<Vec<ResultRow>, ArtifactIssue> {
-    let contents = read_shard_full(path, spec, shard, expected_cells)?;
-    if !contents.quarantined.is_empty() {
-        return Err(ArtifactIssue::Mismatch(format!(
-            "{} cells quarantined: {:?}",
-            contents.quarantined.len(),
-            contents.quarantined
-        )));
-    }
-    Ok(contents.rows)
-}
-
-/// One quarantined cell: why the supervised runner could not produce a
+/// One quarantined cell: why the runner could not produce a
 /// row for it, with enough identity to re-run it exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantineRecord {
@@ -430,7 +410,8 @@ mod tests {
         let path = shard_path(&dir, &spec, shard);
         write_atomic(&path, &render_shard(&spec, shard, &rows, &[])).unwrap();
         let back = read_shard(&path, &spec, shard, &[0, 2]).unwrap();
-        assert_eq!(back, rows);
+        assert_eq!(back.rows, rows);
+        assert!(back.quarantined.is_empty());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -495,22 +476,19 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_shard_round_trips_and_is_rejected_by_clean_reader() {
+    fn quarantined_shard_round_trips() {
         let dir = tmpdir("quarantined");
         let spec = spec();
         let shard = Shard::SINGLE;
         let rows = vec![row(0, 1.0), row(2, 3.0)];
         let path = shard_path(&dir, &spec, shard);
         write_atomic(&path, &render_shard(&spec, shard, &rows, &[1])).unwrap();
-        let contents = read_shard_full(&path, &spec, shard, &[0, 1, 2]).unwrap();
+        let contents = read_shard(&path, &spec, shard, &[0, 1, 2]).unwrap();
         assert_eq!(contents.rows, rows);
         assert_eq!(contents.quarantined, vec![1]);
-        // The clean reader treats quarantined cells as not-done.
-        let err = read_shard(&path, &spec, shard, &[0, 1, 2]).unwrap_err();
-        assert!(matches!(&err, ArtifactIssue::Mismatch(m) if m.contains("quarantined")));
         // A cell listed both as a row and as quarantined is corrupt coverage.
         write_atomic(&path, &render_shard(&spec, shard, &rows, &[1, 2])).unwrap();
-        assert!(read_shard_full(&path, &spec, shard, &[0, 1, 2]).is_err());
+        assert!(read_shard(&path, &spec, shard, &[0, 1, 2]).is_err());
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -20,14 +20,15 @@
 //!   units ([`shard`]); `bicord sweep --spec FILE --shard K/N` runs one.
 //! * [`artifact`] — per-shard JSON artifacts under content-addressed
 //!   keys (FNV-1a of spec + shard), self-validating for resume.
-//! * [`runner`] — shard execution, resume (only missing/corrupt shards
-//!   re-run), and the `merge` reduce whose output is **byte-identical**
-//!   to a single-process run of the same cells.
+//! * [`runner`] — [`run_shard`], the one shard runner (`bicord sweep`
+//!   calls it): supervised execution, resume (only missing, corrupt or
+//!   quarantined cells re-run), and the `merge` reduce whose output is
+//!   **byte-identical** to a single-process run of the same cells;
+//!   plus the fail-fast [`run_cells`] for in-process grids.
 //! * [`supervise`] — crash-isolated cell execution: per-cell panic
 //!   capture, an optional wall-clock deadline, bounded deterministic
 //!   retry, and quarantine artifacts for cells that fail every attempt
-//!   ([`runner::run_shard_supervised`] keeps the shard alive around
-//!   them).
+//!   ([`run_shard`] keeps the shard alive around them).
 //!
 //! # Example
 //!
@@ -81,7 +82,7 @@ pub use bicord_sim::json;
 pub use artifact::{QuarantineRecord, ShardContents};
 pub use contract::{Cell, ParamKind, ParamValue, ResultRow, SweepSpec};
 pub use registry::{ParamSpec, Scenario, ScenarioRegistry};
-pub use runner::{merge, run_cells, run_shard, run_shard_supervised, ShardOutcome};
+pub use runner::{merge, run_cells, run_shard, ShardOutcome};
 pub use shard::{shard_index, Shard};
 pub use supervise::{run_cells_supervised, CellFailure, ChaosConfig, RunPolicy, SupervisedCells};
 

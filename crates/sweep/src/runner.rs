@@ -7,15 +7,21 @@
 //!    defaults filled) — hashing and expansion only ever see resolved
 //!    specs.
 //! 2. [`run_shard`] expands the spec, keeps the cells its [`Shard`]
-//!    owns, runs them over `bicord_sim::par::parallel_map` (order
-//!    preserved), and writes the shard artifact atomically. With
-//!    `resume`, a present-and-valid artifact is left untouched and
-//!    nothing re-runs; an invalid one is reported and re-run.
+//!    owns, runs them under the supervision policy over
+//!    `bicord_sim::par::parallel_map` (order preserved; see
+//!    [`crate::supervise`]), and writes the shard artifact atomically.
+//!    With `resume`, a present-and-valid clean artifact is left
+//!    untouched and nothing re-runs; a valid one with quarantined cells
+//!    re-runs only those; an invalid one is reported and re-run.
 //! 3. [`merge`] reads all `N` shard artifacts back (fully validated),
 //!    interleaves their rows into cell order, and writes `merged.json`.
 //!    A single-process run ([`run_shard`] with [`Shard::SINGLE`])
-//!    writes the identical bytes directly — the property the
-//!    `sweep-shard` CI job and `tests/sweep_contract.rs` enforce.
+//!    writes the identical bytes directly — the property the `sweep`
+//!    CI job and `tests/sweep_contract.rs` enforce.
+//!
+//! [`run_cells`] is the fail-fast batch runner for in-process grids
+//! (the figure table's registry cells): the first failing cell aborts
+//! it, and it writes nothing.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -23,8 +29,8 @@ use std::sync::Arc;
 use bicord_sim::par::parallel_map;
 
 use crate::artifact::{
-    merged_path, quarantine_path, read_quarantine, read_shard, read_shard_full, render_merged,
-    render_quarantine, render_shard, shard_path, write_atomic, ArtifactIssue, QuarantineRecord,
+    merged_path, quarantine_path, read_quarantine, read_shard, render_merged, render_quarantine,
+    render_shard, shard_path, write_atomic, ArtifactIssue, QuarantineRecord,
 };
 use crate::contract::{Cell, ResultRow, SweepSpec};
 use crate::registry::ScenarioRegistry;
@@ -32,7 +38,7 @@ use crate::shard::Shard;
 use crate::supervise::{run_cells_supervised, RunPolicy, SupervisedCells};
 use crate::SweepError;
 
-/// What [`run_shard`] (or [`run_shard_supervised`]) did.
+/// What [`run_shard`] did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardOutcome {
     /// The artifact written (or found valid, when resumed).
@@ -45,12 +51,12 @@ pub struct ShardOutcome {
     pub merged: Option<PathBuf>,
     /// This shard's result rows, in cell order (run or resumed).
     pub rows: Vec<ResultRow>,
-    /// Cells the supervised runner quarantined (always empty for the
-    /// plain runner, which fails fast instead).
+    /// Cells that failed every attempt and were quarantined, ascending.
     pub quarantined: Vec<u64>,
 }
 
-/// Runs `cells` of `spec`'s scenario in parallel, preserving cell order.
+/// Runs `cells` of `spec`'s scenario in parallel, preserving cell order;
+/// the first failing cell's error aborts the batch.
 pub fn run_cells(
     registry: &ScenarioRegistry,
     spec: &SweepSpec,
@@ -61,84 +67,19 @@ pub fn run_cells(
 }
 
 /// Runs one shard of a **resolved** spec and writes its artifact under
-/// `out_dir`. For [`Shard::SINGLE`] the merged results file is written
-/// too, so an unsharded run needs no separate merge step.
+/// `out_dir`. For a clean [`Shard::SINGLE`] run the merged results file
+/// is written too, so an unsharded run needs no separate merge step.
 ///
-/// With `resume`, an existing artifact that validates against the spec
-/// is kept (no cells run); a missing or invalid one is re-run and
-/// rewritten.
-pub fn run_shard(
-    registry: &ScenarioRegistry,
-    spec: &SweepSpec,
-    shard: Shard,
-    out_dir: &Path,
-    resume: bool,
-) -> Result<ShardOutcome, SweepError> {
-    let cells: Vec<Cell> = spec
-        .expand()
-        .into_iter()
-        .filter(|c| shard.contains(c.id))
-        .collect();
-    let expected: Vec<u64> = cells.iter().map(|c| c.id).collect();
-    let path = shard_path(out_dir, spec, shard);
-
-    if resume {
-        match read_shard(&path, spec, shard, &expected) {
-            Ok(rows) => {
-                let merged = if shard.count == 1 {
-                    Some(write_merged(out_dir, spec, &rows)?)
-                } else {
-                    None
-                };
-                return Ok(ShardOutcome {
-                    artifact: path,
-                    cells_run: 0,
-                    cells_skipped: rows.len(),
-                    merged,
-                    rows,
-                    quarantined: Vec::new(),
-                });
-            }
-            Err(ArtifactIssue::Missing) => {}
-            Err(issue) => {
-                eprintln!(
-                    "sweep: shard {shard} artifact invalid ({issue}); re-running {} cells",
-                    cells.len()
-                );
-            }
-        }
-    }
-
-    let cells_run = cells.len();
-    let rows = run_cells(registry, spec, cells)?;
-    write_atomic(&path, &render_shard(spec, shard, &rows, &[]))
-        .map_err(|e| SweepError::Io(format!("writing {}: {e}", path.display())))?;
-    let merged = if shard.count == 1 {
-        Some(write_merged(out_dir, spec, &rows)?)
-    } else {
-        None
-    };
-    Ok(ShardOutcome {
-        artifact: path,
-        cells_run,
-        cells_skipped: 0,
-        merged,
-        rows,
-        quarantined: Vec::new(),
-    })
-}
-
-/// [`run_shard`] with crash isolation: each cell runs under the
-/// supervision policy (panic capture, optional wall-clock deadline,
-/// bounded deterministic retry — see [`crate::supervise`]). Cells that
-/// fail every attempt are *quarantined* instead of killing the shard:
-/// the artifact records their ids, a per-cell quarantine artifact
-/// records the cause, and the shard's rows stay valid for every cell
-/// that did complete.
+/// Each cell runs under `policy` (panic capture, optional wall-clock
+/// deadline, bounded deterministic retry — see [`crate::supervise`]).
+/// Cells that fail every attempt are *quarantined* instead of killing
+/// the shard: the artifact records their ids, a per-cell quarantine
+/// artifact records the cause, and the shard's rows stay valid for
+/// every cell that did complete.
 ///
 /// With `resume`:
 /// * a valid artifact with **no** quarantined cells is kept untouched
-///   (same as the plain runner);
+///   (no cells run);
 /// * a valid artifact **with** quarantined cells re-runs *only* those
 ///   cells, splices recovered rows into place, rewrites the artifact,
 ///   and deletes the quarantine artifacts of recovered cells — so a
@@ -148,7 +89,7 @@ pub fn run_shard(
 /// `merged.json` is written only by a clean single-shard run; a
 /// quarantined sweep must be resumed to completion (or explicitly
 /// merged) first.
-pub fn run_shard_supervised(
+pub fn run_shard(
     registry: &Arc<ScenarioRegistry>,
     spec: &SweepSpec,
     shard: Shard,
@@ -167,7 +108,7 @@ pub fn run_shard_supervised(
     let mut kept_rows: Vec<ResultRow> = Vec::new();
     let mut to_run = cells;
     if resume {
-        match read_shard_full(&path, spec, shard, &expected) {
+        match read_shard(&path, spec, shard, &expected) {
             Ok(contents) if contents.quarantined.is_empty() => {
                 let merged = if shard.count == 1 {
                     Some(write_merged(out_dir, spec, &contents.rows)?)
@@ -292,7 +233,7 @@ pub fn merge(spec: &SweepSpec, out_dir: &Path) -> Result<(PathBuf, Vec<ResultRow
             .filter(|&id| shard.contains(id))
             .collect();
         let path = shard_path(out_dir, spec, shard);
-        match read_shard_full(&path, spec, shard, &expected) {
+        match read_shard(&path, spec, shard, &expected) {
             Ok(contents) => {
                 for row in contents.rows {
                     let slot = row.cell as usize;
@@ -383,7 +324,7 @@ mod tests {
 
     /// A synthetic deterministic scenario: metrics are pure functions of
     /// the cell, and an external counter observes how many cells ran.
-    fn counting_registry(counter: Arc<AtomicUsize>) -> ScenarioRegistry {
+    fn counting_registry(counter: Arc<AtomicUsize>) -> Arc<ScenarioRegistry> {
         let mut registry = ScenarioRegistry::new();
         registry.register(Scenario::new(
             "synthetic",
@@ -403,7 +344,7 @@ mod tests {
                 ])
             },
         ));
-        registry
+        Arc::new(registry)
     }
 
     fn spec(values: &[i64], replicates: u32) -> SweepSpec {
@@ -427,13 +368,15 @@ mod tests {
         let spec = spec(&[1, 2, 3, 4, 5], 2);
 
         let single_dir = tmpdir("single");
-        let outcome = run_shard(&registry, &spec, Shard::SINGLE, &single_dir, false).unwrap();
+        let policy = RunPolicy::default();
+        let outcome =
+            run_shard(&registry, &spec, Shard::SINGLE, &single_dir, false, &policy).unwrap();
         assert_eq!(outcome.cells_run, 10);
         let single = std::fs::read(outcome.merged.unwrap()).unwrap();
 
         let sharded_dir = tmpdir("sharded");
         for shard in Shard::all(3) {
-            run_shard(&registry, &spec, shard, &sharded_dir, false).unwrap();
+            run_shard(&registry, &spec, shard, &sharded_dir, false, &policy).unwrap();
         }
         let (merged, rows) = merge(&spec, &sharded_dir).unwrap();
         assert_eq!(rows.len(), 10);
@@ -450,15 +393,16 @@ mod tests {
         let registry = counting_registry(counter.clone());
         let spec = spec(&[1, 2, 3, 4], 1);
         let dir = tmpdir("resume");
+        let policy = RunPolicy::default();
 
         for shard in Shard::all(2) {
-            run_shard(&registry, &spec, shard, &dir, false).unwrap();
+            run_shard(&registry, &spec, shard, &dir, false, &policy).unwrap();
         }
         assert_eq!(counter.swap(0, Ordering::Relaxed), 4);
 
         // Resume with both artifacts valid: nothing runs.
         for shard in Shard::all(2) {
-            let outcome = run_shard(&registry, &spec, shard, &dir, true).unwrap();
+            let outcome = run_shard(&registry, &spec, shard, &dir, true, &policy).unwrap();
             assert_eq!(outcome.cells_run, 0);
             assert_eq!(outcome.cells_skipped, 2);
         }
@@ -468,39 +412,11 @@ mod tests {
         let lost = shard_path(&dir, &spec, Shard::all(2).nth(1).unwrap());
         std::fs::remove_file(&lost).unwrap();
         for shard in Shard::all(2) {
-            run_shard(&registry, &spec, shard, &dir, true).unwrap();
+            run_shard(&registry, &spec, shard, &dir, true, &policy).unwrap();
         }
         assert_eq!(counter.swap(0, Ordering::Relaxed), 2);
         assert!(merge(&spec, &dir).is_ok());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn supervised_runner_matches_plain_runner_on_healthy_cells() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let registry = Arc::new(counting_registry(counter.clone()));
-        let spec = spec(&[1, 2, 3], 2);
-
-        let plain_dir = tmpdir("sup-plain");
-        let plain = run_shard(&registry, &spec, Shard::SINGLE, &plain_dir, false).unwrap();
-        let sup_dir = tmpdir("sup-supervised");
-        let policy = RunPolicy::default();
-        let supervised =
-            run_shard_supervised(&registry, &spec, Shard::SINGLE, &sup_dir, false, &policy)
-                .unwrap();
-
-        assert!(supervised.quarantined.is_empty());
-        assert_eq!(supervised.rows, plain.rows);
-        // Same bytes on disk: shard artifact and merged results.
-        let plain_bytes = std::fs::read(&plain.artifact).unwrap();
-        let sup_bytes = std::fs::read(&supervised.artifact).unwrap();
-        assert_eq!(plain_bytes, sup_bytes);
-        assert_eq!(
-            std::fs::read(plain.merged.unwrap()).unwrap(),
-            std::fs::read(supervised.merged.unwrap()).unwrap()
-        );
-        std::fs::remove_dir_all(&plain_dir).ok();
-        std::fs::remove_dir_all(&sup_dir).ok();
     }
 
     /// A registry whose scenario panics on even `n` while `healthy` is
@@ -552,8 +468,7 @@ mod tests {
         let ref_dir = tmpdir("q-reference");
         healthy.store(true, Ordering::Relaxed);
         let reference =
-            run_shard_supervised(&registry, &spec, Shard::SINGLE, &ref_dir, false, &policy)
-                .unwrap();
+            run_shard(&registry, &spec, Shard::SINGLE, &ref_dir, false, &policy).unwrap();
         let ref_shard = std::fs::read(&reference.artifact).unwrap();
         let ref_merged = std::fs::read(reference.merged.as_ref().unwrap()).unwrap();
         healthy.store(false, Ordering::Relaxed);
@@ -562,8 +477,7 @@ mod tests {
         // Faulty run: cells with even n (ids 1 and 3) are quarantined,
         // the rest complete, and no merged.json is written.
         let dir = tmpdir("q-faulty");
-        let outcome =
-            run_shard_supervised(&registry, &spec, Shard::SINGLE, &dir, false, &policy).unwrap();
+        let outcome = run_shard(&registry, &spec, Shard::SINGLE, &dir, false, &policy).unwrap();
         assert_eq!(outcome.quarantined, vec![1, 3]);
         assert_eq!(outcome.rows.len(), 3);
         assert!(outcome.merged.is_none());
@@ -583,8 +497,7 @@ mod tests {
         // Heal and resume: only the two quarantined cells re-run...
         healthy.store(true, Ordering::Relaxed);
         counter.store(0, Ordering::Relaxed);
-        let resumed =
-            run_shard_supervised(&registry, &spec, Shard::SINGLE, &dir, true, &policy).unwrap();
+        let resumed = run_shard(&registry, &spec, Shard::SINGLE, &dir, true, &policy).unwrap();
         assert_eq!(
             counter.load(Ordering::Relaxed),
             2,
@@ -638,7 +551,7 @@ mod tests {
         let registry = Arc::new(registry);
         let spec = spec(&[1, 2, 3], 1);
         let dir = tmpdir("transient");
-        let outcome = run_shard_supervised(
+        let outcome = run_shard(
             &registry,
             &spec,
             Shard::SINGLE,
@@ -660,7 +573,8 @@ mod tests {
         let registry = counting_registry(counter);
         let spec = spec(&[1, 2, 3], 1);
         let dir = tmpdir("missing");
-        run_shard(&registry, &spec, Shard::all(2).next().unwrap(), &dir, false).unwrap();
+        let first = Shard::all(2).next().unwrap();
+        run_shard(&registry, &spec, first, &dir, false, &RunPolicy::default()).unwrap();
         let err = merge(&spec, &dir).unwrap_err();
         assert!(err.to_string().contains("shard 2/2"), "{err}");
         assert!(err.to_string().contains("missing"), "{err}");

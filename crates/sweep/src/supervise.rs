@@ -1,9 +1,10 @@
 //! Crash-isolated, retrying cell execution.
 //!
-//! The plain runner ([`crate::runner::run_cells`]) maps cells straight
-//! over `parallel_map`: one panicking or hanging cell kills the whole
-//! shard with nothing written. This module wraps each cell in a
-//! supervision envelope instead:
+//! The fail-fast [`crate::runner::run_cells`] maps cells straight over
+//! `parallel_map`: one panicking or hanging cell kills the whole batch
+//! with nothing written. [`crate::runner::run_shard`] runs its cells
+//! through this module instead, which wraps each cell in a supervision
+//! envelope:
 //!
 //! * **Panic isolation** — the cell runs under
 //!   [`std::panic::catch_unwind`]; a panic is captured (payload
@@ -37,7 +38,7 @@
 //!
 //! The `BICORD_SWEEP_CHAOS` environment variable arms a deterministic
 //! test-only failure injector (see [`ChaosConfig`]) used by the
-//! `sweep-chaos` CI job to prove the quarantine/retry/merge contract on
+//! `sweep` CI job to prove the quarantine/retry/merge contract on
 //! the real binary. It is inert unless explicitly set.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -306,23 +307,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs one cell under `policy`, retrying failed attempts with linear
 /// backoff. Returns the row, the final failure (after all attempts), or
-/// a fatal (non-quarantinable) sweep error.
-pub fn run_cell_supervised(
+/// a fatal (non-quarantinable) sweep error. `chaos` and `spec_hash` are
+/// the batch's injector and spec hash, computed once per batch.
+fn run_cell_supervised(
     registry: &Arc<ScenarioRegistry>,
     spec: &SweepSpec,
+    spec_hash: &str,
+    chaos: Option<&ChaosConfig>,
     cell: &Cell,
     policy: &RunPolicy,
 ) -> Result<Result<ResultRow, (CellFailure, u32)>, SweepError> {
-    let chaos = ChaosConfig::from_env().map_err(SweepError::Param)?;
-    let spec_hash = spec.content_hash();
     let mut last_failure = None;
     for attempt in 0..=policy.max_retries {
         if attempt > 0 {
             std::thread::sleep(policy.retry_backoff * attempt);
         }
-        let injected = chaos
-            .as_ref()
-            .and_then(|c| c.decide(&spec_hash, cell.id, attempt));
+        let injected = chaos.and_then(|c| c.decide(spec_hash, cell.id, attempt));
         let outcome = match injected {
             Some(ChaosAction::Panic) => Ok(Err(CellFailure::Panic(format!(
                 "chaos: injected panic in cell {}",
@@ -355,15 +355,19 @@ pub fn run_cell_supervised(
 
 /// Runs `cells` in parallel under `policy`, preserving cell order.
 /// Failures that survive every retry become quarantine records instead
-/// of killing the batch; fatal spec errors still abort.
+/// of killing the batch; fatal spec errors still abort, and so does a
+/// malformed `BICORD_SWEEP_CHAOS`.
 pub fn run_cells_supervised(
     registry: &Arc<ScenarioRegistry>,
     spec: &SweepSpec,
     cells: Vec<Cell>,
     policy: &RunPolicy,
 ) -> Result<SupervisedCells, SweepError> {
+    let chaos = ChaosConfig::from_env().map_err(SweepError::Param)?;
+    let spec_hash = spec.content_hash();
     let outcomes = parallel_map(cells, |cell| {
-        let outcome = run_cell_supervised(registry, spec, &cell, policy)?;
+        let outcome =
+            run_cell_supervised(registry, spec, &spec_hash, chaos.as_ref(), &cell, policy)?;
         Ok::<_, SweepError>((cell, outcome))
     });
     let mut rows = Vec::new();

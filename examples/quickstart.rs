@@ -10,12 +10,7 @@ use bicord::prelude::*;
 fn main() {
     // A saturated Wi-Fi link (100 B frames at 1 Mb/s) and a ZigBee node at
     // location A sending bursts of five 50 B packets every ~200 ms.
-    let config = SimConfig::builder()
-        .location(Location::A)
-        .seed(42)
-        .duration(SimDuration::from_secs(10))
-        .build()
-        .expect("valid config");
+    let config = SimConfig::bicord(Location::A, 42);
 
     println!("Running BiCord for {} of virtual time...", config.duration);
     let results = CoexistenceSim::new(config).unwrap().run();

@@ -10,15 +10,11 @@ use bicord::scenario::trace::SpanKind;
 use bicord::sim::SimTime;
 
 fn main() {
-    let config = SimConfig::builder()
-        .location(Location::A)
-        .seed(9)
-        .duration(SimDuration::from_secs(3))
-        .burst(8, 50)
-        .arrivals(ArrivalProcess::Periodic(SimDuration::from_millis(250)))
-        .record_trace(true)
-        .build()
-        .expect("valid config");
+    let mut config = SimConfig::bicord(Location::A, 9);
+    config.duration = SimDuration::from_secs(3);
+    config.zigbee.burst.n_packets = 8;
+    config.zigbee.arrivals = ArrivalProcess::Periodic(SimDuration::from_millis(250));
+    config.record_trace = true;
 
     println!("Running BiCord with tracing for {}...", config.duration);
     // Capture the structured event stream alongside the channel trace.

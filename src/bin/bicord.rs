@@ -50,6 +50,7 @@
 //! ```
 
 use bicord::prelude::*;
+use bicord::sim::stdout::print;
 use bicord::sim::SimTime;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -380,26 +381,26 @@ reduce a sweep with quarantined cells and names them."
 
 /// Runs the `sweep` subcommand; returns the process exit code.
 fn run_sweep(options: &SweepOptions) -> i32 {
-    use bicord::sweep::{
-        merge, rows_table, run_shard_supervised, RunPolicy, ScenarioRegistry, Shard,
-    };
+    use bicord::sweep::{merge, rows_table, run_shard, RunPolicy, ScenarioRegistry, Shard};
 
     if let Some(n) = options.threads {
         std::env::set_var("BICORD_THREADS", n.to_string());
     }
     let registry = std::sync::Arc::new(ScenarioRegistry::builtin());
     if options.list_scenarios {
+        let mut listing = String::new();
         for scenario in registry.iter() {
-            println!("{} — {}", scenario.name, scenario.description);
+            listing += &format!("{} — {}\n", scenario.name, scenario.description);
             for p in &scenario.params {
                 let default = p
                     .default
                     .as_ref()
                     .map(|d| format!(" [{d}]"))
                     .unwrap_or_else(|| " (required)".to_string());
-                println!("  {} <{}>{default}  {}", p.name, p.kind, p.help);
+                listing += &format!("  {} <{}>{default}  {}\n", p.name, p.kind, p.help);
             }
         }
+        print(&listing);
         return 0;
     }
 
@@ -425,7 +426,7 @@ fn run_sweep(options: &SweepOptions) -> i32 {
                 spec.cell_count(),
                 options.out_dir.display(),
             );
-            let outcome = run_shard_supervised(
+            let outcome = run_shard(
                 &registry,
                 &spec,
                 shard,
@@ -471,7 +472,7 @@ fn run_sweep(options: &SweepOptions) -> i32 {
         }
 
         if let Some((title, rows)) = rows {
-            println!("{}", rows_table(&title, &rows));
+            print(&format!("{}\n", rows_table(&title, &rows)));
         }
         Ok(if quarantined > 0 { 3 } else { 0 })
     };
@@ -521,7 +522,7 @@ fn main() {
         let options = match parse_sweep_args(args) {
             Ok(o) => o,
             Err(e) if e == "help" => {
-                println!("{}", sweep_usage());
+                print(&format!("{}\n", sweep_usage()));
                 return;
             }
             Err(e) => {
@@ -534,7 +535,7 @@ fn main() {
     let options = match parse_args(args) {
         Ok(o) => o,
         Err(e) if e == "help" => {
-            println!("{}", usage());
+            print(&format!("{}\n", usage()));
             return;
         }
         Err(e) => {
@@ -589,17 +590,16 @@ fn main() {
         },
     };
 
-    print!("{}", results.summary_text());
-
+    let mut text = results.summary_text();
     if let Some(trace) = results.trace.as_ref() {
         let to = SimTime::ZERO
             + results
                 .simulated
                 .min(bicord::sim::SimDuration::from_secs(1));
-        println!();
-        println!("first second of channel activity:");
-        print!("{}", trace.render(SimTime::ZERO, to, 110));
+        text += "\nfirst second of channel activity:\n";
+        text += &trace.render(SimTime::ZERO, to, 110);
     }
+    print(&text);
 }
 
 #[cfg(test)]

@@ -33,12 +33,10 @@
 //! use bicord::sim::SimDuration;
 //!
 //! // Run BiCord for two simulated seconds at location A.
-//! let config = SimConfig::builder()
-//!     .location(Location::A)
-//!     .seed(42)
-//!     .duration(SimDuration::from_secs(2))
-//!     .build()
-//!     .expect("valid config");
+//! let config = SimConfig {
+//!     duration: SimDuration::from_secs(2),
+//!     ..SimConfig::bicord(Location::A, 42)
+//! };
 //! let results = CoexistenceSim::new(config).unwrap().run();
 //!
 //! assert!(results.zigbee.delivered > 0);
@@ -50,10 +48,10 @@
 //! ```
 //! use bicord::prelude::*;
 //!
-//! let config = SimConfig::builder()
-//!     .duration(SimDuration::from_secs(2))
-//!     .build()
-//!     .unwrap();
+//! let config = SimConfig {
+//!     duration: SimDuration::from_secs(2),
+//!     ..SimConfig::bicord(Location::A, 0)
+//! };
 //! let mut sink = VecSink::new();
 //! let results = CoexistenceSim::with_sink(config, &mut sink).unwrap().run();
 //! assert_eq!(
@@ -82,14 +80,12 @@ pub use bicord_sweep as sweep;
 pub use bicord_workloads as workloads;
 
 /// One-line import of everything a typical simulation script needs:
-/// configuration (builder, presets, errors), the runtime, event sinks,
+/// configuration (presets, errors), the runtime, event sinks,
 /// and the few value types that appear in every config.
 pub mod prelude {
     pub use bicord_metrics::registry::{CountingSink, MetricsRegistry};
     pub use bicord_phy::units::Dbm;
-    pub use bicord_scenario::config::{
-        ConfigError, ExtraNodeConfig, Mode, RunResults, SimConfig, SimConfigBuilder,
-    };
+    pub use bicord_scenario::config::{ConfigError, ExtraNodeConfig, Mode, RunResults, SimConfig};
     pub use bicord_scenario::geometry::Location;
     pub use bicord_scenario::sim::CoexistenceSim;
     pub use bicord_sim::obs::{

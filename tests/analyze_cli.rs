@@ -105,10 +105,19 @@ fn within_budget_passes_and_writes_the_markdown_report() {
     assert!(report.contains("| entry | metric |"), "{report}");
 }
 
+/// The default PDR floor plus a `max_value` ceiling, which only a
+/// `--rules` file can supply.
+const CEILING_RULES: &str = r#"[
+{"metric": "pdr", "rule": "max_drop_pct", "limit": 5},
+{"metric": "quarantined_cells", "rule": "max_value", "limit": 0}
+]
+"#;
+
 #[test]
 fn pdr_drop_and_quarantine_ceiling_breach() {
     let dir = tmpdir("floors");
     std::fs::write(dir.join("baseline.json"), BASELINE).unwrap();
+    std::fs::write(dir.join("rules.json"), CEILING_RULES).unwrap();
     std::fs::write(
         dir.join("current.json"),
         BASELINE
@@ -123,7 +132,14 @@ fn pdr_drop_and_quarantine_ceiling_breach() {
     )
     .unwrap();
     let out = bicord(
-        &["diff-bench", "current.json", "--baseline", "baseline.json"],
+        &[
+            "diff-bench",
+            "current.json",
+            "--baseline",
+            "baseline.json",
+            "--rules",
+            "rules.json",
+        ],
         &dir,
     );
     assert_eq!(out.status.code(), Some(1));

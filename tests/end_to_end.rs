@@ -241,13 +241,11 @@ fn disjoint_channels_need_no_coordination() {
     // reservations are not asserted.
     for seed in [1, 7, 20_210_705] {
         for location in Location::all() {
-            let config = SimConfig::builder()
-                .seed(seed)
-                .location(location)
-                .wifi_channel(1)
-                .zigbee_channel(26)
-                .build()
-                .unwrap();
+            let config = SimConfig {
+                wifi_channel: 1,
+                zigbee_channel: 26,
+                ..SimConfig::bicord(location, seed)
+            };
             let z = run_secs(config, 10).zigbee;
             let at = format!("seed {seed}, {location}");
             assert_eq!(z.signaling_rounds, 0, "{at}");

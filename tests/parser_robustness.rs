@@ -15,7 +15,7 @@ use bicord::analyze::bench::{parse_bench_file, parse_rules};
 use bicord::analyze::trace::TraceFile;
 use bicord::sim::json;
 use bicord::sim::obs::TraceHeader;
-use bicord::sweep::artifact::{read_quarantine, read_shard_full, render_quarantine, render_shard};
+use bicord::sweep::artifact::{read_quarantine, read_shard, render_quarantine, render_shard};
 use bicord::sweep::{ParamValue, QuarantineRecord, ResultRow, Shard, SweepSpec};
 use proptest::prelude::*;
 
@@ -119,7 +119,7 @@ fn feed_every_parser(bytes: &[u8], scratch: &Path) {
     let spec = spec();
     let artifact = scratch.join("artifact.json");
     std::fs::write(&artifact, bytes).expect("write scratch artifact");
-    let _ = read_shard_full(&artifact, &spec, Shard::SINGLE, &[1, 2]);
+    let _ = read_shard(&artifact, &spec, Shard::SINGLE, &[1, 2]);
     let _ = read_quarantine(&artifact, &spec);
 }
 
@@ -170,7 +170,7 @@ fn seed_documents_parse_cleanly() {
     let dir = scratch_dir("seeds");
     let artifact = dir.join("artifact.json");
     std::fs::write(&artifact, &docs[4]).unwrap();
-    let shard = read_shard_full(&artifact, &spec, Shard::SINGLE, &[1, 2]).unwrap();
+    let shard = read_shard(&artifact, &spec, Shard::SINGLE, &[1, 2]).unwrap();
     assert_eq!(shard.quarantined, vec![2]);
     std::fs::write(&artifact, &docs[5]).unwrap();
     assert_eq!(read_quarantine(&artifact, &spec).unwrap().attempts, 2);

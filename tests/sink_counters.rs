@@ -15,18 +15,17 @@ use bicord::workloads::mobility::DeviceMobility;
 fn mobility_config() -> SimConfig {
     let duration = SimDuration::from_secs(2);
     let mut rng = stream_rng(11, SeedDomain::Mobility, 2);
-    SimConfig::builder()
-        .seed(11)
-        .duration(duration)
-        .device_mobility(DeviceMobility::generate(
+    SimConfig {
+        duration,
+        device_mobility: Some(DeviceMobility::generate(
             Location::A.sender_position(),
             1.0,
             duration,
             SimDuration::from_millis(250),
             &mut rng,
-        ))
-        .build()
-        .expect("valid config")
+        )),
+        ..SimConfig::bicord(Location::A, 11)
+    }
 }
 
 #[test]

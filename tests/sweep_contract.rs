@@ -3,6 +3,7 @@
 //! results file **byte-identical** to running the whole sweep in one
 //! process — for arbitrary specs and shard counts — and a killed shard
 //! must be recoverable by re-running only that shard (`--resume`).
+//! Every test drives `run_shard`, the runner `bicord sweep` ships.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -11,14 +12,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bicord::sweep::{
-    merge, run_shard, run_shard_supervised, ParamKind, ParamSpec, ParamValue, RunPolicy, Scenario,
-    ScenarioRegistry, Shard, SweepSpec,
+    merge, run_shard, ParamKind, ParamSpec, ParamValue, RunPolicy, Scenario, ScenarioRegistry,
+    Shard, SweepSpec,
 };
 use proptest::prelude::*;
 
 /// A cheap, fully deterministic scenario: metrics are pure functions of
 /// the cell. `counter` observes how many cells actually execute.
-fn synthetic_registry(counter: Arc<AtomicUsize>) -> ScenarioRegistry {
+fn synthetic_registry(counter: Arc<AtomicUsize>) -> Arc<ScenarioRegistry> {
     let mut registry = ScenarioRegistry::new();
     registry.register(Scenario::new(
         "synthetic",
@@ -47,7 +48,7 @@ fn synthetic_registry(counter: Arc<AtomicUsize>) -> ScenarioRegistry {
             ])
         },
     ));
-    registry
+    Arc::new(registry)
 }
 
 fn unique_dir(tag: &str) -> PathBuf {
@@ -64,18 +65,19 @@ fn unique_dir(tag: &str) -> PathBuf {
 /// Runs `spec` once unsharded and once as `n_shards` shards + merge,
 /// returning both merged files' bytes.
 fn single_vs_sharded(
-    registry: &ScenarioRegistry,
+    registry: &Arc<ScenarioRegistry>,
     spec: &SweepSpec,
     n_shards: u32,
 ) -> (Vec<u8>, Vec<u8>) {
+    let policy = RunPolicy::default();
     let single_dir = unique_dir("single");
-    let outcome = run_shard(registry, spec, Shard::SINGLE, &single_dir, false).unwrap();
+    let outcome = run_shard(registry, spec, Shard::SINGLE, &single_dir, false, &policy).unwrap();
     let single =
         std::fs::read(outcome.merged.expect("single-shard runs write merged.json")).unwrap();
 
     let sharded_dir = unique_dir("sharded");
     for shard in Shard::all(n_shards) {
-        run_shard(registry, spec, shard, &sharded_dir, false).unwrap();
+        run_shard(registry, spec, shard, &sharded_dir, false, &policy).unwrap();
     }
     let (merged_path, _) = merge(spec, &sharded_dir).unwrap();
     let sharded = std::fs::read(merged_path).unwrap();
@@ -130,7 +132,7 @@ fn real_scenario_sharded_merge_matches_single_process() {
     )
     .unwrap();
 
-    let registry = ScenarioRegistry::builtin();
+    let registry = Arc::new(ScenarioRegistry::builtin());
     let spec = registry
         .resolve(&bicord::sweep::load_spec(&spec_path).unwrap())
         .unwrap();
@@ -154,9 +156,10 @@ fn resume_reruns_only_the_killed_shard() {
         )
         .unwrap();
     let dir = unique_dir("resume");
+    let policy = RunPolicy::default();
 
     for shard in Shard::all(3) {
-        run_shard(&registry, &spec, shard, &dir, false).unwrap();
+        run_shard(&registry, &spec, shard, &dir, false, &policy).unwrap();
     }
     assert_eq!(counter.swap(0, Ordering::Relaxed), 6);
     let (_, before) = merge(&spec, &dir).unwrap();
@@ -167,7 +170,7 @@ fn resume_reruns_only_the_killed_shard() {
     std::fs::remove_file(&killed_path).unwrap();
 
     for shard in Shard::all(3) {
-        let outcome = run_shard(&registry, &spec, shard, &dir, true).unwrap();
+        let outcome = run_shard(&registry, &spec, shard, &dir, true, &policy).unwrap();
         if shard == killed {
             assert_eq!(outcome.cells_run, 2, "killed shard re-runs its cells");
         } else {
@@ -198,14 +201,15 @@ fn corrupt_artifact_is_rerun_on_resume() {
         .unwrap();
     let dir = unique_dir("corrupt");
     let shard = Shard::SINGLE;
-    run_shard(&registry, &spec, shard, &dir, false).unwrap();
+    let policy = RunPolicy::default();
+    run_shard(&registry, &spec, shard, &dir, false, &policy).unwrap();
     counter.swap(0, Ordering::Relaxed);
 
     let path = bicord::sweep::artifact::shard_path(&dir, &spec, shard);
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
 
-    let outcome = run_shard(&registry, &spec, shard, &dir, true).unwrap();
+    let outcome = run_shard(&registry, &spec, shard, &dir, true, &policy).unwrap();
     assert_eq!(outcome.cells_run, 4);
     assert_eq!(counter.swap(0, Ordering::Relaxed), 4);
     std::fs::remove_dir_all(&dir).ok();
@@ -306,7 +310,7 @@ proptest! {
         // Fault-free single-process reference.
         let reference_dir = unique_dir("chaos-ref");
         let outcome =
-            run_shard_supervised(&registry, &spec, Shard::SINGLE, &reference_dir, false, &policy)
+            run_shard(&registry, &spec, Shard::SINGLE, &reference_dir, false, &policy)
                 .unwrap();
         prop_assert!(outcome.quarantined.is_empty());
         let reference = std::fs::read(outcome.merged.unwrap()).unwrap();
@@ -318,7 +322,7 @@ proptest! {
         let dir = unique_dir("chaos");
         for shard in Shard::all(n_shards) {
             let outcome =
-                run_shard_supervised(&registry, &spec, shard, &dir, false, &policy).unwrap();
+                run_shard(&registry, &spec, shard, &dir, false, &policy).unwrap();
             let got: HashSet<u64> = outcome.quarantined.iter().copied().collect();
             let want: HashSet<u64> = spec
                 .expand()
@@ -337,7 +341,7 @@ proptest! {
         healthy.store(true, Ordering::SeqCst);
         counter.store(0, Ordering::SeqCst);
         for shard in Shard::all(n_shards) {
-            run_shard_supervised(&registry, &spec, shard, &dir, true, &policy).unwrap();
+            run_shard(&registry, &spec, shard, &dir, true, &policy).unwrap();
         }
         prop_assert_eq!(
             counter.load(Ordering::SeqCst),
@@ -408,7 +412,7 @@ fn transient_panics_are_retried_to_a_byte_identical_artifact() {
     let reference_registry = Arc::new(transient_registry(Arc::new(Mutex::new(pre_seeded))));
     let reference_spec = spec_for(&reference_registry);
     let reference_dir = unique_dir("transient-ref");
-    let outcome = run_shard_supervised(
+    let outcome = run_shard(
         &reference_registry,
         &reference_spec,
         Shard::SINGLE,
@@ -424,8 +428,7 @@ fn transient_panics_are_retried_to_a_byte_identical_artifact() {
     let registry = Arc::new(transient_registry(attempts.clone()));
     let spec = spec_for(&registry);
     let dir = unique_dir("transient");
-    let outcome =
-        run_shard_supervised(&registry, &spec, Shard::SINGLE, &dir, false, &policy).unwrap();
+    let outcome = run_shard(&registry, &spec, Shard::SINGLE, &dir, false, &policy).unwrap();
     assert!(
         outcome.quarantined.is_empty(),
         "retries absorb transient faults"

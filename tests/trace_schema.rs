@@ -19,11 +19,10 @@ fn golden_path(seed: u64) -> PathBuf {
 }
 
 fn short_config(seed: u64) -> SimConfig {
-    SimConfig::builder()
-        .seed(seed)
-        .duration(SimDuration::from_millis(800))
-        .build()
-        .expect("valid trace-test config")
+    SimConfig {
+        duration: SimDuration::from_millis(800),
+        ..SimConfig::bicord(Location::A, seed)
+    }
 }
 
 /// Runs one traced simulation and returns the trace file's bytes.
