@@ -29,7 +29,7 @@ pub const SHARD_SCHEMA: &str = "bicord-sweep/1";
 /// Schema tag of merged results.
 pub const MERGED_SCHEMA: &str = "bicord-sweep-merged/1";
 /// Schema tag of per-cell quarantine artifacts.
-pub const QUARANTINE_SCHEMA: &str = "bicord-quarantine/1";
+pub const QUARANTINE_SCHEMA: &str = "bicord-quarantine/2";
 
 /// The content key of a (spec, shard) pair: 16 hex digits.
 pub fn shard_key(spec_hash: &str, shard: Shard) -> String {
@@ -80,9 +80,9 @@ fn render_rows(out: &mut String, rows: &[ResultRow]) {
 /// Serializes one shard's artifact (header line + one row per line).
 ///
 /// `quarantined` lists cell ids this shard owns but could not produce
-/// rows for ([`crate::runner::run_shard`] isolated their failures). The field
+/// rows for ([`crate::runner::run_shard`] quarantined them). The field
 /// is only emitted when non-empty, so clean shards render byte-for-byte
-/// as they did before supervision existed.
+/// as they did before quarantine existed.
 pub fn render_shard(
     spec: &SweepSpec,
     shard: Shard,
@@ -274,13 +274,11 @@ pub struct QuarantineRecord {
     pub seed: u64,
     /// The replicate index of the cell.
     pub replicate: u32,
-    /// Failure class: `"panic"`, `"timeout"`, or `"stall"`.
+    /// Failure class: `"panic"` or `"stall"`.
     pub cause: String,
-    /// Human-readable detail (panic payload, timeout bound, guard
-    /// counters for stalls).
+    /// Human-readable detail (panic payload, or guard counters for
+    /// stalls).
     pub message: String,
-    /// Attempts made before quarantining (1 = no retry configured).
-    pub attempts: u32,
 }
 
 /// The path of one cell's quarantine artifact. Keyed by spec and cell
@@ -298,7 +296,7 @@ pub fn quarantine_path(out_dir: &Path, spec: &SweepSpec, cell: u64) -> PathBuf {
 pub fn render_quarantine(spec: &SweepSpec, record: &QuarantineRecord) -> String {
     let mut out = format!(
         "{{\"schema\": {}, \"spec_hash\": {}, \"cell\": {}, \"seed\": {}, \"replicate\": {}, \
-         \"cause\": {}, \"message\": {}, \"attempts\": {}, ",
+         \"cause\": {}, \"message\": {}, ",
         json::escape(QUARANTINE_SCHEMA),
         json::escape(&spec.content_hash()),
         record.cell,
@@ -306,7 +304,6 @@ pub fn render_quarantine(spec: &SweepSpec, record: &QuarantineRecord) -> String 
         record.replicate,
         json::escape(&record.cause),
         json::escape(&record.message),
-        record.attempts,
     );
     let hash = format!("{:016x}", fnv1a(out.as_bytes()));
     out.push_str(&format!("\"self_hash\": {}}}\n", json::escape(&hash)));
@@ -363,7 +360,6 @@ pub fn read_quarantine(path: &Path, spec: &SweepSpec) -> Result<QuarantineRecord
         replicate: nfield("replicate")? as u32,
         cause: sfield("cause")?.to_string(),
         message: sfield("message")?.to_string(),
-        attempts: nfield("attempts")? as u32,
     })
 }
 
@@ -495,7 +491,7 @@ mod tests {
     #[test]
     fn clean_shard_bytes_are_unchanged_by_the_quarantine_field() {
         // Backwards compatibility: artifacts without quarantined cells
-        // must render exactly as they did before supervision existed, so
+        // must render exactly as they did before quarantine existed, so
         // existing goldens and resume hashes stay valid.
         let spec = spec();
         let rows = vec![row(0, 1.0)];
@@ -513,7 +509,6 @@ mod tests {
             replicate: 0,
             cause: "panic".to_string(),
             message: "index out of bounds: len 3, index 7".to_string(),
-            attempts: 2,
         };
         let path = quarantine_path(&dir, &spec, record.cell);
         write_atomic(&path, &render_quarantine(&spec, &record)).unwrap();
@@ -525,6 +520,16 @@ mod tests {
         assert!(matches!(
             read_quarantine(&path, &spec),
             Err(ArtifactIssue::Corrupt(_))
+        ));
+        // An artifact of the old schema (which also carried `attempts`)
+        // is rejected rather than misread.
+        let old = render_quarantine(&spec, &record)
+            .replace(QUARANTINE_SCHEMA, "bicord-quarantine/1")
+            .replace("\"message\"", "\"attempts\": 2, \"message\"");
+        write_atomic(&path, &old).unwrap();
+        assert!(matches!(
+            read_quarantine(&path, &spec),
+            Err(ArtifactIssue::Mismatch(_))
         ));
         // A different spec rejects the artifact outright.
         write_atomic(&path, &render_quarantine(&spec, &record)).unwrap();

@@ -21,14 +21,12 @@
 //! * [`artifact`] — per-shard JSON artifacts under content-addressed
 //!   keys (FNV-1a of spec + shard), self-validating for resume.
 //! * [`runner`] — [`run_shard`], the one shard runner (`bicord sweep`
-//!   calls it): supervised execution, resume (only missing, corrupt or
-//!   quarantined cells re-run), and the `merge` reduce whose output is
-//!   **byte-identical** to a single-process run of the same cells;
-//!   plus the fail-fast [`run_cells`] for in-process grids.
-//! * [`supervise`] — crash-isolated cell execution: per-cell panic
-//!   capture, an optional wall-clock deadline, bounded deterministic
-//!   retry, and quarantine artifacts for cells that fail every attempt
-//!   ([`run_shard`] keeps the shard alive around them).
+//!   calls it): each cell runs once under `catch_unwind`, a panicked or
+//!   guard-stalled cell is quarantined while the shard completes,
+//!   resume re-runs only missing, corrupt or quarantined cells, and the
+//!   `merge` reduce's output is **byte-identical** to a single-process
+//!   run of the same cells; plus the fail-fast [`run_cells`] for
+//!   in-process grids.
 //!
 //! # Example
 //!
@@ -74,7 +72,6 @@ pub mod contract;
 pub mod registry;
 pub mod runner;
 pub mod shard;
-pub mod supervise;
 
 /// The JSON codec, re-exported from its home in `bicord_sim`.
 pub use bicord_sim::json;
@@ -84,7 +81,6 @@ pub use contract::{Cell, ParamKind, ParamValue, ResultRow, SweepSpec};
 pub use registry::{ParamSpec, Scenario, ScenarioRegistry};
 pub use runner::{merge, run_cells, run_shard, ShardOutcome};
 pub use shard::{shard_index, Shard};
-pub use supervise::{run_cells_supervised, CellFailure, ChaosConfig, RunPolicy, SupervisedCells};
 
 use bicord_metrics::TextTable;
 

@@ -23,9 +23,8 @@ use bicord_scenario::geometry::Location;
 use bicord_scenario::sim::CoexistenceSim;
 use bicord_sim::{FaultProfile, GuardConfig, RuntimeGuard, SimDuration};
 
-use crate::supervise::GUARD_STALL_MARKER;
-
 use crate::contract::{Cell, ParamKind, ParamValue, ResultRow, SweepSpec};
+use crate::runner::GUARD_STALL_MARKER;
 use crate::SweepError;
 
 /// Schema entry for one scenario parameter.

@@ -7,24 +7,36 @@
 //!    defaults filled) — hashing and expansion only ever see resolved
 //!    specs.
 //! 2. [`run_shard`] expands the spec, keeps the cells its [`Shard`]
-//!    owns, runs them under the supervision policy over
-//!    `bicord_sim::par::parallel_map` (order preserved; see
-//!    [`crate::supervise`]), and writes the shard artifact atomically.
-//!    With `resume`, a present-and-valid clean artifact is left
-//!    untouched and nothing re-runs; a valid one with quarantined cells
-//!    re-runs only those; an invalid one is reported and re-run.
+//!    owns, runs each of them once over
+//!    `bicord_sim::par::parallel_map` (order preserved), and writes the
+//!    shard artifact atomically. With `resume`, a present-and-valid
+//!    clean artifact is left untouched and nothing re-runs; a valid one
+//!    with quarantined cells re-runs only those; an invalid one is
+//!    reported and re-run.
 //! 3. [`merge`] reads all `N` shard artifacts back (fully validated),
 //!    interleaves their rows into cell order, and writes `merged.json`.
 //!    A single-process run ([`run_shard`] with [`Shard::SINGLE`])
 //!    writes the identical bytes directly — the property the `sweep`
 //!    CI job and `tests/sweep_contract.rs` enforce.
 //!
+//! # Failed cells
+//!
+//! A cell is a pure function of its seed, so it fails the same way on
+//! every run and is run exactly once. It runs inline under
+//! [`catch_unwind`]; a panic, or a scenario error starting with
+//! [`GUARD_STALL_MARKER`] (the runtime guard aborting a stalled
+//! simulation), is *quarantined*: the shard artifact lists the cell and
+//! a [`QuarantineRecord`] artifact keeps the cause, so `merge` can name
+//! it and `--resume` re-runs only it. Any other scenario error is a
+//! spec mistake and stays fatal. There is no wall-clock watchdog: a
+//! hang is a reproducible bug for the guard or the CI job timeout.
+//!
 //! [`run_cells`] is the fail-fast batch runner for in-process grids
 //! (the figure table's registry cells): the first failing cell aborts
 //! it, and it writes nothing.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use bicord_sim::par::parallel_map;
 
@@ -35,8 +47,14 @@ use crate::artifact::{
 use crate::contract::{Cell, ResultRow, SweepSpec};
 use crate::registry::ScenarioRegistry;
 use crate::shard::Shard;
-use crate::supervise::{run_cells_supervised, RunPolicy, SupervisedCells};
 use crate::SweepError;
+
+/// Message prefix by which a guard-aborted cell is recognized as a
+/// stall (quarantined) rather than a deterministic scenario error
+/// (fatal). Scenario closures that map
+/// `bicord_sim::GuardViolation::StallDetected` into their error string
+/// must start the message with this marker.
+pub const GUARD_STALL_MARKER: &str = "guard stall:";
 
 /// What [`run_shard`] did.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,7 +69,7 @@ pub struct ShardOutcome {
     pub merged: Option<PathBuf>,
     /// This shard's result rows, in cell order (run or resumed).
     pub rows: Vec<ResultRow>,
-    /// Cells that failed every attempt and were quarantined, ascending.
+    /// Cells that failed and were quarantined, ascending.
     pub quarantined: Vec<u64>,
 }
 
@@ -70,12 +88,10 @@ pub fn run_cells(
 /// `out_dir`. For a clean [`Shard::SINGLE`] run the merged results file
 /// is written too, so an unsharded run needs no separate merge step.
 ///
-/// Each cell runs under `policy` (panic capture, optional wall-clock
-/// deadline, bounded deterministic retry — see [`crate::supervise`]).
-/// Cells that fail every attempt are *quarantined* instead of killing
-/// the shard: the artifact records their ids, a per-cell quarantine
-/// artifact records the cause, and the shard's rows stay valid for
-/// every cell that did complete.
+/// Each cell runs once (see the module docs). A cell that panics or
+/// stalls is *quarantined* instead of killing the shard: the artifact
+/// records its id, a per-cell quarantine artifact records the cause,
+/// and the shard's rows stay valid for every cell that did complete.
 ///
 /// With `resume`:
 /// * a valid artifact with **no** quarantined cells is kept untouched
@@ -90,12 +106,11 @@ pub fn run_cells(
 /// quarantined sweep must be resumed to completion (or explicitly
 /// merged) first.
 pub fn run_shard(
-    registry: &Arc<ScenarioRegistry>,
+    registry: &ScenarioRegistry,
     spec: &SweepSpec,
     shard: Shard,
     out_dir: &Path,
     resume: bool,
-    policy: &RunPolicy,
 ) -> Result<ShardOutcome, SweepError> {
     let cells: Vec<Cell> = spec
         .expand()
@@ -144,17 +159,12 @@ pub fn run_shard(
 
     let cells_run = to_run.len();
     let cells_skipped = kept_rows.len();
-    let SupervisedCells { rows, quarantined } =
-        run_cells_supervised(registry, spec, to_run, policy)?;
+    let (rows, quarantined) = run_cells_once(registry, spec, to_run)?;
 
     // Splice recovered/new rows in with any rows kept from resume.
     let mut rows: Vec<ResultRow> = kept_rows.into_iter().chain(rows).collect();
     rows.sort_by_key(|r| r.cell);
-    let quarantined_ids: Vec<u64> = {
-        let mut ids: Vec<u64> = quarantined.iter().map(|q| q.cell).collect();
-        ids.sort_unstable();
-        ids
-    };
+    let quarantined_ids: Vec<u64> = quarantined.iter().map(|q| q.cell).collect();
 
     write_atomic(&path, &render_shard(spec, shard, &rows, &quarantined_ids))
         .map_err(|e| SweepError::Io(format!("writing {}: {e}", path.display())))?;
@@ -175,9 +185,71 @@ pub fn run_shard(
     })
 }
 
+/// Runs `cells` once each in parallel, preserving cell order. Panicked
+/// and stalled cells become quarantine records; any other scenario
+/// error aborts the batch.
+fn run_cells_once(
+    registry: &ScenarioRegistry,
+    spec: &SweepSpec,
+    cells: Vec<Cell>,
+) -> Result<(Vec<ResultRow>, Vec<QuarantineRecord>), SweepError> {
+    let outcomes = parallel_map(cells, |cell| run_cell_once(registry, &spec.scenario, &cell));
+    let mut rows = Vec::new();
+    let mut quarantined = Vec::new();
+    for outcome in outcomes {
+        match outcome? {
+            Ok(row) => rows.push(row),
+            Err(record) => {
+                eprintln!(
+                    "sweep: cell {} quarantined: {}: {}",
+                    record.cell, record.cause, record.message
+                );
+                quarantined.push(record);
+            }
+        }
+    }
+    Ok((rows, quarantined))
+}
+
+/// Runs one cell inline under `catch_unwind` and classifies the result:
+/// a row, a quarantine record (cause `panic` or `stall`), or a fatal
+/// scenario error.
+fn run_cell_once(
+    registry: &ScenarioRegistry,
+    scenario: &str,
+    cell: &Cell,
+) -> Result<Result<ResultRow, QuarantineRecord>, SweepError> {
+    let caught = catch_unwind(AssertUnwindSafe(|| registry.run_cell(scenario, cell)));
+    let (cause, message) = match caught {
+        Ok(Ok(row)) => return Ok(Ok(row)),
+        Ok(Err(SweepError::Cell { message, .. })) if message.starts_with(GUARD_STALL_MARKER) => {
+            ("stall", message)
+        }
+        Ok(Err(fatal)) => return Err(fatal),
+        Err(payload) => ("panic", panic_message(payload.as_ref())),
+    };
+    Ok(Err(QuarantineRecord {
+        cell: cell.id,
+        seed: cell.seed,
+        replicate: cell.replicate,
+        cause: cause.to_string(),
+        message,
+    }))
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Writes one quarantine artifact per failed cell and removes stale
 /// quarantine artifacts of this shard's cells that are no longer
-/// quarantined (recovered by retry or resume).
+/// quarantined (recovered by resume).
 fn persist_quarantine(
     out_dir: &Path,
     spec: &SweepSpec,
@@ -241,9 +313,7 @@ pub fn merge(spec: &SweepSpec, out_dir: &Path) -> Result<(PathBuf, Vec<ResultRow
                 }
                 for cell in contents.quarantined {
                     let cause = match read_quarantine(&quarantine_path(out_dir, spec, cell), spec) {
-                        Ok(q) => {
-                            format!("{}: {}, after {} attempts", q.cause, q.message, q.attempts)
-                        }
+                        Ok(q) => format!("{}: {}", q.cause, q.message),
                         Err(issue) => format!("cause unavailable ({issue})"),
                     };
                     problems.push(format!(
@@ -324,7 +394,7 @@ mod tests {
 
     /// A synthetic deterministic scenario: metrics are pure functions of
     /// the cell, and an external counter observes how many cells ran.
-    fn counting_registry(counter: Arc<AtomicUsize>) -> Arc<ScenarioRegistry> {
+    fn counting_registry(counter: Arc<AtomicUsize>) -> ScenarioRegistry {
         let mut registry = ScenarioRegistry::new();
         registry.register(Scenario::new(
             "synthetic",
@@ -344,7 +414,7 @@ mod tests {
                 ])
             },
         ));
-        Arc::new(registry)
+        registry
     }
 
     fn spec(values: &[i64], replicates: u32) -> SweepSpec {
@@ -368,15 +438,13 @@ mod tests {
         let spec = spec(&[1, 2, 3, 4, 5], 2);
 
         let single_dir = tmpdir("single");
-        let policy = RunPolicy::default();
-        let outcome =
-            run_shard(&registry, &spec, Shard::SINGLE, &single_dir, false, &policy).unwrap();
+        let outcome = run_shard(&registry, &spec, Shard::SINGLE, &single_dir, false).unwrap();
         assert_eq!(outcome.cells_run, 10);
         let single = std::fs::read(outcome.merged.unwrap()).unwrap();
 
         let sharded_dir = tmpdir("sharded");
         for shard in Shard::all(3) {
-            run_shard(&registry, &spec, shard, &sharded_dir, false, &policy).unwrap();
+            run_shard(&registry, &spec, shard, &sharded_dir, false).unwrap();
         }
         let (merged, rows) = merge(&spec, &sharded_dir).unwrap();
         assert_eq!(rows.len(), 10);
@@ -393,16 +461,15 @@ mod tests {
         let registry = counting_registry(counter.clone());
         let spec = spec(&[1, 2, 3, 4], 1);
         let dir = tmpdir("resume");
-        let policy = RunPolicy::default();
 
         for shard in Shard::all(2) {
-            run_shard(&registry, &spec, shard, &dir, false, &policy).unwrap();
+            run_shard(&registry, &spec, shard, &dir, false).unwrap();
         }
         assert_eq!(counter.swap(0, Ordering::Relaxed), 4);
 
         // Resume with both artifacts valid: nothing runs.
         for shard in Shard::all(2) {
-            let outcome = run_shard(&registry, &spec, shard, &dir, true, &policy).unwrap();
+            let outcome = run_shard(&registry, &spec, shard, &dir, true).unwrap();
             assert_eq!(outcome.cells_run, 0);
             assert_eq!(outcome.cells_skipped, 2);
         }
@@ -412,7 +479,7 @@ mod tests {
         let lost = shard_path(&dir, &spec, Shard::all(2).nth(1).unwrap());
         std::fs::remove_file(&lost).unwrap();
         for shard in Shard::all(2) {
-            run_shard(&registry, &spec, shard, &dir, true, &policy).unwrap();
+            run_shard(&registry, &spec, shard, &dir, true).unwrap();
         }
         assert_eq!(counter.swap(0, Ordering::Relaxed), 2);
         assert!(merge(&spec, &dir).is_ok());
@@ -425,7 +492,7 @@ mod tests {
     fn faulty_registry(
         healthy: Arc<std::sync::atomic::AtomicBool>,
         counter: Arc<AtomicUsize>,
-    ) -> Arc<ScenarioRegistry> {
+    ) -> ScenarioRegistry {
         let mut registry = ScenarioRegistry::new();
         registry.register(Scenario::new(
             "synthetic",
@@ -449,7 +516,7 @@ mod tests {
                 ])
             },
         ));
-        Arc::new(registry)
+        registry
     }
 
     #[test]
@@ -459,25 +526,22 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         let registry = faulty_registry(healthy.clone(), counter.clone());
         let spec = spec(&[1, 2, 3, 4, 5], 1);
-        let policy = RunPolicy {
-            max_retries: 0,
-            ..RunPolicy::default()
-        };
 
         // Reference: the fault-free single-process bytes.
         let ref_dir = tmpdir("q-reference");
         healthy.store(true, Ordering::Relaxed);
-        let reference =
-            run_shard(&registry, &spec, Shard::SINGLE, &ref_dir, false, &policy).unwrap();
+        let reference = run_shard(&registry, &spec, Shard::SINGLE, &ref_dir, false).unwrap();
         let ref_shard = std::fs::read(&reference.artifact).unwrap();
         let ref_merged = std::fs::read(reference.merged.as_ref().unwrap()).unwrap();
         healthy.store(false, Ordering::Relaxed);
         counter.store(0, Ordering::Relaxed);
 
-        // Faulty run: cells with even n (ids 1 and 3) are quarantined,
-        // the rest complete, and no merged.json is written.
+        // Faulty run: cells with even n (ids 1 and 3) are quarantined
+        // after one attempt each, the rest complete, and no merged.json
+        // is written.
         let dir = tmpdir("q-faulty");
-        let outcome = run_shard(&registry, &spec, Shard::SINGLE, &dir, false, &policy).unwrap();
+        let outcome = run_shard(&registry, &spec, Shard::SINGLE, &dir, false).unwrap();
+        assert_eq!(counter.load(Ordering::Relaxed), 5, "every cell runs once");
         assert_eq!(outcome.quarantined, vec![1, 3]);
         assert_eq!(outcome.rows.len(), 3);
         assert!(outcome.merged.is_none());
@@ -485,7 +549,6 @@ mod tests {
             let q = read_quarantine(&quarantine_path(&dir, &spec, cell), &spec).unwrap();
             assert_eq!(q.cause, "panic");
             assert!(q.message.contains("injected fault"), "{}", q.message);
-            assert_eq!(q.attempts, 1);
         }
         // Merge names the quarantined cells and their recorded cause.
         let err = merge(&spec, &dir).unwrap_err();
@@ -497,7 +560,7 @@ mod tests {
         // Heal and resume: only the two quarantined cells re-run...
         healthy.store(true, Ordering::Relaxed);
         counter.store(0, Ordering::Relaxed);
-        let resumed = run_shard(&registry, &spec, Shard::SINGLE, &dir, true, &policy).unwrap();
+        let resumed = run_shard(&registry, &spec, Shard::SINGLE, &dir, true).unwrap();
         assert_eq!(
             counter.load(Ordering::Relaxed),
             2,
@@ -524,47 +587,52 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_recover_within_one_run_via_retry() {
-        // A cell that panics only on its first attempt: with one retry
-        // the sweep completes clean in a single invocation and the
-        // merged bytes equal the fault-free ones.
-        let attempts = Arc::new(AtomicUsize::new(0));
-        let attempts_in = attempts.clone();
+    fn persistent_panic_is_quarantined_with_cause() {
+        use std::sync::atomic::AtomicBool;
+        let counter = Arc::new(AtomicUsize::new(0));
+        let registry = faulty_registry(Arc::new(AtomicBool::new(false)), counter.clone());
+        let spec = spec(&[1, 2, 3], 1);
+        let (rows, quarantined) = run_cells_once(&registry, &spec, spec.expand()).unwrap();
+        assert_eq!(counter.load(Ordering::Relaxed), 3, "one attempt per cell");
+        assert_eq!(rows.len(), 2);
+        assert_eq!(quarantined.len(), 1);
+        let q = &quarantined[0];
+        assert_eq!(q.cause, "panic");
+        assert!(q.message.contains("injected fault"), "{}", q.message);
+        assert_eq!(q.seed, 40, "cell identity preserved");
+        assert_eq!(q.cell, 1, "n=2 is the second cell in expansion order");
+    }
+
+    #[test]
+    fn guard_stall_errors_are_quarantinable() {
         let mut registry = ScenarioRegistry::new();
         registry.register(Scenario::new(
-            "synthetic",
-            "first attempt of n=2 panics",
-            vec![ParamSpec {
-                name: "n",
-                kind: ParamKind::Int,
-                default: Some(ParamValue::Int(0)),
-                help: "any integer",
-            }],
-            move |cell| {
-                let n = cell.int("n")?;
-                if n == 2 && attempts_in.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient fault");
-                }
-                Ok(vec![("n_squared".to_string(), (n * n) as f64)])
-            },
+            "stalling",
+            "always reports a guard stall",
+            vec![],
+            |_cell| Err(format!("{GUARD_STALL_MARKER} stuck at t=5us")),
         ));
-        let registry = Arc::new(registry);
-        let spec = spec(&[1, 2, 3], 1);
-        let dir = tmpdir("transient");
-        let outcome = run_shard(
-            &registry,
-            &spec,
-            Shard::SINGLE,
-            &dir,
-            false,
-            &RunPolicy::default(),
-        )
-        .unwrap();
-        assert!(outcome.quarantined.is_empty());
-        assert!(outcome.merged.is_some());
-        assert_eq!(outcome.rows.len(), 3);
-        assert_eq!(outcome.rows[1].metric("n_squared"), Some(4.0));
-        std::fs::remove_dir_all(&dir).ok();
+        let mut spec = SweepSpec::new("stalling", 1, 1);
+        spec.normalize_axes();
+        let (rows, quarantined) = run_cells_once(&registry, &spec, spec.expand()).unwrap();
+        assert!(rows.is_empty());
+        assert_eq!(quarantined[0].cause, "stall");
+        assert!(quarantined[0].message.contains("t=5us"));
+    }
+
+    #[test]
+    fn deterministic_scenario_errors_stay_fatal() {
+        let mut registry = ScenarioRegistry::new();
+        registry.register(Scenario::new(
+            "broken",
+            "always returns a plain error",
+            vec![],
+            |_cell| Err("bad parameter combination".to_string()),
+        ));
+        let mut spec = SweepSpec::new("broken", 1, 1);
+        spec.normalize_axes();
+        let err = run_cells_once(&registry, &spec, spec.expand()).unwrap_err();
+        assert!(matches!(err, SweepError::Cell { .. }), "{err}");
     }
 
     #[test]
@@ -574,7 +642,7 @@ mod tests {
         let spec = spec(&[1, 2, 3], 1);
         let dir = tmpdir("missing");
         let first = Shard::all(2).next().unwrap();
-        run_shard(&registry, &spec, first, &dir, false, &RunPolicy::default()).unwrap();
+        run_shard(&registry, &spec, first, &dir, false).unwrap();
         let err = merge(&spec, &dir).unwrap_err();
         assert!(err.to_string().contains("shard 2/2"), "{err}");
         assert!(err.to_string().contains("missing"), "{err}");

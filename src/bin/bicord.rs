@@ -272,13 +272,10 @@ struct SweepOptions {
     out_dir: std::path::PathBuf,
     threads: Option<usize>,
     list_scenarios: bool,
-    cell_timeout: Option<std::time::Duration>,
-    max_retries: u32,
 }
 
 impl Default for SweepOptions {
     fn default() -> Self {
-        let policy = bicord::sweep::RunPolicy::default();
         SweepOptions {
             spec: None,
             shard: None,
@@ -287,8 +284,6 @@ impl Default for SweepOptions {
             out_dir: std::path::PathBuf::from("sweep_out"),
             threads: None,
             list_scenarios: false,
-            cell_timeout: policy.cell_timeout,
-            max_retries: policy.max_retries,
         }
     }
 }
@@ -320,20 +315,6 @@ fn parse_sweep_args<I: Iterator<Item = String>>(mut args: I) -> Result<SweepOpti
                 }
                 options.threads = Some(n);
             }
-            "--cell-timeout" => {
-                let secs: f64 = value("--cell-timeout")?
-                    .parse()
-                    .map_err(|e| format!("--cell-timeout: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--cell-timeout wants a positive number of seconds".to_string());
-                }
-                options.cell_timeout = Some(std::time::Duration::from_secs_f64(secs));
-            }
-            "--max-retries" => {
-                options.max_retries = value("--max-retries")?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?;
-            }
             "--list-scenarios" => options.list_scenarios = true,
             "--help" | "-h" => return Err("help".to_string()),
             other => return Err(format!("unknown option '{other}' (try --help)")),
@@ -362,31 +343,27 @@ OPTIONS:
   --merge            reduce the shard artifacts into merged.json; alone
                      it only merges, after --shard it runs then merges
   --resume           keep valid existing artifacts, re-run missing or
-                     corrupt shards only
+                     corrupt shards and failed cells only
   --out-dir DIR      artifact directory                        [sweep_out]
   --threads N        worker threads (sets BICORD_THREADS)
-  --cell-timeout S   wall-clock seconds per cell before the cell is
-                     abandoned and quarantined (fractions allowed; no
-                     timeout by default)
-  --max-retries N    re-runs per failed cell before quarantine    [1]
   --list-scenarios   print the scenario registry and exit
   --help             this text
 
-Failed cells (panic, guard stall, or timeout) are retried with the same
-seed and, if they keep failing, quarantined: the shard artifact lists
-them, a quarantine-cell-*.json records the cause, and the exit code is 3.
-`--resume` re-runs only quarantined/invalid cells; `--merge` refuses to
-reduce a sweep with quarantined cells and names them."
+Each cell runs once. A cell that panics or trips the runtime guard's
+stall check is quarantined: the shard artifact lists it, a
+quarantine-cell-*.json records the cause, and the exit code is 3.
+`--merge` refuses to reduce a sweep with quarantined cells and names
+them."
 }
 
-/// Runs the `sweep` subcommand; returns the process exit code.
-fn run_sweep(options: &SweepOptions) -> i32 {
-    use bicord::sweep::{merge, rows_table, run_shard, RunPolicy, ScenarioRegistry, Shard};
+/// Runs the `sweep` subcommand over `registry`; returns the process exit
+/// code.
+fn run_sweep(options: &SweepOptions, registry: &bicord::sweep::ScenarioRegistry) -> i32 {
+    use bicord::sweep::{merge, rows_table, run_shard, Shard};
 
     if let Some(n) = options.threads {
         std::env::set_var("BICORD_THREADS", n.to_string());
     }
-    let registry = std::sync::Arc::new(ScenarioRegistry::builtin());
     if options.list_scenarios {
         let mut listing = String::new();
         for scenario in registry.iter() {
@@ -405,11 +382,6 @@ fn run_sweep(options: &SweepOptions) -> i32 {
     }
 
     let spec_path = options.spec.as_deref().expect("checked by the parser");
-    let policy = RunPolicy {
-        cell_timeout: options.cell_timeout,
-        max_retries: options.max_retries,
-        ..RunPolicy::default()
-    };
     // 0 = clean, 3 = the shard completed but some cells are quarantined.
     let run = || -> Result<i32, bicord::sweep::SweepError> {
         let spec = registry.resolve(&bicord::sweep::load_spec(spec_path)?)?;
@@ -426,14 +398,7 @@ fn run_sweep(options: &SweepOptions) -> i32 {
                 spec.cell_count(),
                 options.out_dir.display(),
             );
-            let outcome = run_shard(
-                &registry,
-                &spec,
-                shard,
-                &options.out_dir,
-                options.resume,
-                &policy,
-            )?;
+            let outcome = run_shard(registry, &spec, shard, &options.out_dir, options.resume)?;
             eprintln!(
                 "sweep: shard {shard}: {} cells run, {} resumed -> {}",
                 outcome.cells_run,
@@ -530,7 +495,10 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        std::process::exit(run_sweep(&options));
+        std::process::exit(run_sweep(
+            &options,
+            &bicord::sweep::ScenarioRegistry::builtin(),
+        ));
     }
     let options = match parse_args(args) {
         Ok(o) => o,
@@ -789,27 +757,60 @@ mod tests {
     }
 
     #[test]
-    fn sweep_supervision_flags_parse_and_validate() {
-        let o = parse_sweep(&[
-            "--spec",
-            "s.json",
-            "--cell-timeout",
-            "2.5",
-            "--max-retries",
-            "3",
-        ])
+    fn removed_supervision_flags_are_unknown_options() {
+        for flag in ["--cell-timeout", "--max-retries"] {
+            let err = parse_sweep(&["--spec", "s.json", flag, "1"]).unwrap_err();
+            assert!(err.contains("unknown option"), "{flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn sweep_exits_3_on_a_failed_cell_and_0_once_resumed() {
+        use bicord::sweep::{ParamKind, ParamSpec, ParamValue, Scenario, ScenarioRegistry};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let healthy = Arc::new(AtomicBool::new(false));
+        let flag = healthy.clone();
+        let mut registry = ScenarioRegistry::new();
+        registry.register(Scenario::new(
+            "synthetic",
+            "panics on n = 2 until healed",
+            vec![ParamSpec {
+                name: "n",
+                kind: ParamKind::Int,
+                default: Some(ParamValue::Int(0)),
+                help: "any integer",
+            }],
+            move |cell| {
+                let n = cell.int("n")?;
+                assert!(flag.load(Ordering::SeqCst) || n != 2, "injected crash");
+                Ok(vec![("n2".to_string(), (n * n) as f64)])
+            },
+        ));
+
+        let dir = std::env::temp_dir().join(format!("bicord-cli-sweep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("spec.json");
+        std::fs::write(
+            &spec,
+            r#"{"scenario": "synthetic", "seed": 3, "params": {"n": [1, 2, 3]}}"#,
+        )
         .unwrap();
-        assert_eq!(o.cell_timeout, Some(std::time::Duration::from_millis(2500)));
-        assert_eq!(o.max_retries, 3);
-        // Defaults mirror the library's RunPolicy.
-        let o = parse_sweep(&["--spec", "s.json"]).unwrap();
-        let policy = bicord::sweep::RunPolicy::default();
-        assert_eq!(o.cell_timeout, policy.cell_timeout);
-        assert_eq!(o.max_retries, policy.max_retries);
-        // Zero or negative deadlines make no sense.
-        assert!(parse_sweep(&["--spec", "s.json", "--cell-timeout", "0"]).is_err());
-        assert!(parse_sweep(&["--spec", "s.json", "--cell-timeout", "-1"]).is_err());
-        assert!(parse_sweep(&["--spec", "s.json", "--max-retries", "x"]).is_err());
+        let run = |args: &[&str]| {
+            let mut argv = vec!["--spec", spec.to_str().unwrap(), "--out-dir"];
+            argv.push(dir.to_str().unwrap());
+            argv.extend_from_slice(args);
+            run_sweep(&parse_sweep(&argv).unwrap(), &registry)
+        };
+
+        assert_eq!(run(&[]), 3, "a quarantined cell exits 3");
+        assert_ne!(run(&["--merge"]), 0, "merge refuses a quarantined shard");
+        healthy.store(true, Ordering::SeqCst);
+        let healed = run(&["--shard", "1/1", "--resume", "--merge"]);
+        assert_eq!(healed, 0, "healed resume merges");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

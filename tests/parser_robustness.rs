@@ -51,7 +51,6 @@ fn seed_documents() -> Vec<String> {
         replicate: 0,
         cause: "panic".to_string(),
         message: "a \"quoted\" \\ message".to_string(),
-        attempts: 2,
     };
     let trace = repo_file("tests/golden/trace_seed1.jsonl");
     let lines: Vec<&str> = trace.lines().collect();
@@ -173,7 +172,7 @@ fn seed_documents_parse_cleanly() {
     let shard = read_shard(&artifact, &spec, Shard::SINGLE, &[1, 2]).unwrap();
     assert_eq!(shard.quarantined, vec![2]);
     std::fs::write(&artifact, &docs[5]).unwrap();
-    assert_eq!(read_quarantine(&artifact, &spec).unwrap().attempts, 2);
+    assert_eq!(read_quarantine(&artifact, &spec).unwrap().cause, "panic");
     for spec_doc in &docs[6..] {
         SweepSpec::parse(spec_doc).unwrap();
     }

@@ -2,24 +2,38 @@
 //! independent shards, and merging the shard artifacts must produce a
 //! results file **byte-identical** to running the whole sweep in one
 //! process — for arbitrary specs and shard counts — and a killed shard
-//! must be recoverable by re-running only that shard (`--resume`).
-//! Every test drives `run_shard`, the runner `bicord sweep` ships.
+//! must be recoverable by re-running only that shard (`--resume`). A
+//! cell that panics runs once, is quarantined and named by `merge`, and
+//! `--resume` re-runs only it. Every test drives `run_shard`, the
+//! runner `bicord sweep` ships.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
+use bicord::sweep::artifact::{quarantine_path, read_quarantine};
 use bicord::sweep::{
-    merge, run_shard, ParamKind, ParamSpec, ParamValue, RunPolicy, Scenario, ScenarioRegistry,
-    Shard, SweepSpec,
+    merge, run_shard, ParamKind, ParamSpec, ParamValue, Scenario, ScenarioRegistry, Shard,
+    SweepSpec,
 };
 use proptest::prelude::*;
 
 /// A cheap, fully deterministic scenario: metrics are pure functions of
 /// the cell. `counter` observes how many cells actually execute.
-fn synthetic_registry(counter: Arc<AtomicUsize>) -> Arc<ScenarioRegistry> {
+fn synthetic_registry(counter: Arc<AtomicUsize>) -> ScenarioRegistry {
+    panicking_registry(counter, HashSet::new(), Arc::new(AtomicBool::new(true)))
+}
+
+/// The synthetic scenario, except that while `healthy` is false every
+/// cell whose `n` is in `panics` panics. Metrics are unchanged either
+/// way, so a healed and resumed sweep must be byte-identical to a
+/// fault-free one.
+fn panicking_registry(
+    counter: Arc<AtomicUsize>,
+    panics: HashSet<i64>,
+    healthy: Arc<AtomicBool>,
+) -> ScenarioRegistry {
     let mut registry = ScenarioRegistry::new();
     registry.register(Scenario::new(
         "synthetic",
@@ -42,13 +56,16 @@ fn synthetic_registry(counter: Arc<AtomicUsize>) -> Arc<ScenarioRegistry> {
             counter.fetch_add(1, Ordering::Relaxed);
             let n = cell.int("n")?;
             let m = cell.float("m")?;
+            if !healthy.load(Ordering::SeqCst) && panics.contains(&n) {
+                panic!("injected crash in cell n={n}");
+            }
             Ok(vec![
                 ("mix".to_string(), n as f64 * m + cell.seed as f64),
                 ("replicate".to_string(), cell.replicate as f64),
             ])
         },
     ));
-    Arc::new(registry)
+    registry
 }
 
 fn unique_dir(tag: &str) -> PathBuf {
@@ -65,19 +82,18 @@ fn unique_dir(tag: &str) -> PathBuf {
 /// Runs `spec` once unsharded and once as `n_shards` shards + merge,
 /// returning both merged files' bytes.
 fn single_vs_sharded(
-    registry: &Arc<ScenarioRegistry>,
+    registry: &ScenarioRegistry,
     spec: &SweepSpec,
     n_shards: u32,
 ) -> (Vec<u8>, Vec<u8>) {
-    let policy = RunPolicy::default();
     let single_dir = unique_dir("single");
-    let outcome = run_shard(registry, spec, Shard::SINGLE, &single_dir, false, &policy).unwrap();
+    let outcome = run_shard(registry, spec, Shard::SINGLE, &single_dir, false).unwrap();
     let single =
         std::fs::read(outcome.merged.expect("single-shard runs write merged.json")).unwrap();
 
     let sharded_dir = unique_dir("sharded");
     for shard in Shard::all(n_shards) {
-        run_shard(registry, spec, shard, &sharded_dir, false, &policy).unwrap();
+        run_shard(registry, spec, shard, &sharded_dir, false).unwrap();
     }
     let (merged_path, _) = merge(spec, &sharded_dir).unwrap();
     let sharded = std::fs::read(merged_path).unwrap();
@@ -132,7 +148,7 @@ fn real_scenario_sharded_merge_matches_single_process() {
     )
     .unwrap();
 
-    let registry = Arc::new(ScenarioRegistry::builtin());
+    let registry = ScenarioRegistry::builtin();
     let spec = registry
         .resolve(&bicord::sweep::load_spec(&spec_path).unwrap())
         .unwrap();
@@ -156,10 +172,9 @@ fn resume_reruns_only_the_killed_shard() {
         )
         .unwrap();
     let dir = unique_dir("resume");
-    let policy = RunPolicy::default();
 
     for shard in Shard::all(3) {
-        run_shard(&registry, &spec, shard, &dir, false, &policy).unwrap();
+        run_shard(&registry, &spec, shard, &dir, false).unwrap();
     }
     assert_eq!(counter.swap(0, Ordering::Relaxed), 6);
     let (_, before) = merge(&spec, &dir).unwrap();
@@ -170,7 +185,7 @@ fn resume_reruns_only_the_killed_shard() {
     std::fs::remove_file(&killed_path).unwrap();
 
     for shard in Shard::all(3) {
-        let outcome = run_shard(&registry, &spec, shard, &dir, true, &policy).unwrap();
+        let outcome = run_shard(&registry, &spec, shard, &dir, true).unwrap();
         if shard == killed {
             assert_eq!(outcome.cells_run, 2, "killed shard re-runs its cells");
         } else {
@@ -201,55 +216,17 @@ fn corrupt_artifact_is_rerun_on_resume() {
         .unwrap();
     let dir = unique_dir("corrupt");
     let shard = Shard::SINGLE;
-    let policy = RunPolicy::default();
-    run_shard(&registry, &spec, shard, &dir, false, &policy).unwrap();
+    run_shard(&registry, &spec, shard, &dir, false).unwrap();
     counter.swap(0, Ordering::Relaxed);
 
     let path = bicord::sweep::artifact::shard_path(&dir, &spec, shard);
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
 
-    let outcome = run_shard(&registry, &spec, shard, &dir, true, &policy).unwrap();
+    let outcome = run_shard(&registry, &spec, shard, &dir, true).unwrap();
     assert_eq!(outcome.cells_run, 4);
     assert_eq!(counter.swap(0, Ordering::Relaxed), 4);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Like [`synthetic_registry`], but while `healthy` is false the cells
-/// whose `n` value is in `panics` panic and those in `hangs` sleep past
-/// any reasonable cell timeout. Metrics are unchanged either way, so a
-/// recovered sweep must be byte-identical to a fault-free one.
-fn chaotic_registry(
-    healthy: Arc<AtomicBool>,
-    panics: Arc<HashSet<i64>>,
-    hangs: Arc<HashSet<i64>>,
-    counter: Arc<AtomicUsize>,
-) -> ScenarioRegistry {
-    let mut registry = ScenarioRegistry::new();
-    registry.register(Scenario::new(
-        "chaotic",
-        "pure function of (n, seed) with injectable crash/hang faults",
-        vec![ParamSpec {
-            name: "n",
-            kind: ParamKind::Int,
-            default: Some(ParamValue::Int(0)),
-            help: "any integer",
-        }],
-        move |cell| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            let n = cell.int("n")?;
-            if !healthy.load(Ordering::SeqCst) {
-                if panics.contains(&n) {
-                    panic!("injected crash in cell n={n}");
-                }
-                if hangs.contains(&n) {
-                    std::thread::sleep(Duration::from_secs(2));
-                }
-            }
-            Ok(vec![("mix".to_string(), n as f64 + cell.seed as f64)])
-        },
-    ));
-    registry
 }
 
 proptest! {
@@ -259,59 +236,40 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// The supervision acceptance property: with panics and hangs
-    /// injected into <= 20% of cells, every shard still completes,
-    /// exactly the faulty cells are quarantined with their cause on
-    /// record, and after healing + `--resume` the merged results are
+    /// The quarantine acceptance property: with panics injected into
+    /// <= 20% of cells, every shard still completes, exactly the faulty
+    /// cells are quarantined after one attempt each with their cause on
+    /// record, `merge` names them along with `--resume`, and after
+    /// healing + `--resume` re-runs only them, the merged results are
     /// byte-identical to a fault-free single-process run.
     #[test]
     fn injected_faults_are_quarantined_and_resume_restores_exact_bytes(
         n_cells in 10i64..15,
         fault_a in 0i64..15,
         fault_b in 0i64..15,
-        a_hangs in any::<bool>(),
-        b_hangs in any::<bool>(),
         n_shards in 1u32..4,
         seed in 0u64..1_000_000,
     ) {
-        let fault_a = fault_a % n_cells;
-        let fault_b = fault_b % n_cells;
-        let mut panics = HashSet::new();
-        let mut hangs = HashSet::new();
-        for (n, is_hang) in [(fault_a, a_hangs), (fault_b, b_hangs)] {
-            if is_hang { hangs.insert(n); } else { panics.insert(n); }
-        }
+        let panics = HashSet::from([fault_a % n_cells, fault_b % n_cells]);
         // Cell ids follow expansion order of the single `n` axis, so the
         // expected quarantine set is just the faulty values themselves.
-        let expected: HashSet<u64> =
-            panics.iter().chain(hangs.iter()).map(|&n| n as u64).collect();
+        let expected: HashSet<u64> = panics.iter().map(|&n| n as u64).collect();
         prop_assert!(expected.len() as i64 * 5 <= n_cells, "fault budget is <= 20% of cells");
 
         let healthy = Arc::new(AtomicBool::new(true));
         let counter = Arc::new(AtomicUsize::new(0));
-        let registry = Arc::new(chaotic_registry(
-            healthy.clone(),
-            Arc::new(panics),
-            Arc::new(hangs),
-            counter.clone(),
-        ));
+        let registry = panicking_registry(counter.clone(), panics, healthy.clone());
         let spec = registry
             .resolve(
-                &SweepSpec::new("chaotic", seed, 1)
+                &SweepSpec::new("synthetic", seed, 1)
                     .axis("n", (0..n_cells).map(ParamValue::Int).collect()),
             )
             .unwrap();
-        let policy = RunPolicy {
-            cell_timeout: Some(Duration::from_millis(100)),
-            max_retries: 0,
-            ..RunPolicy::default()
-        };
 
         // Fault-free single-process reference.
         let reference_dir = unique_dir("chaos-ref");
         let outcome =
-            run_shard(&registry, &spec, Shard::SINGLE, &reference_dir, false, &policy)
-                .unwrap();
+            run_shard(&registry, &spec, Shard::SINGLE, &reference_dir, false).unwrap();
         prop_assert!(outcome.quarantined.is_empty());
         let reference = std::fs::read(outcome.merged.unwrap()).unwrap();
 
@@ -321,8 +279,7 @@ proptest! {
         counter.store(0, Ordering::SeqCst);
         let dir = unique_dir("chaos");
         for shard in Shard::all(n_shards) {
-            let outcome =
-                run_shard(&registry, &spec, shard, &dir, false, &policy).unwrap();
+            let outcome = run_shard(&registry, &spec, shard, &dir, false).unwrap();
             let got: HashSet<u64> = outcome.quarantined.iter().copied().collect();
             let want: HashSet<u64> = spec
                 .expand()
@@ -332,8 +289,18 @@ proptest! {
                 .collect();
             prop_assert_eq!(got, want, "each shard quarantines exactly its faulty cells");
         }
+        prop_assert_eq!(
+            counter.load(Ordering::SeqCst),
+            n_cells as usize,
+            "a failed cell is not retried"
+        );
         let err = merge(&spec, &dir).unwrap_err().to_string();
-        prop_assert!(err.contains("quarantined"), "merge refuses quarantined cells: {}", err);
+        for &cell in &expected {
+            let named = format!("cell {cell} quarantined (panic: injected crash");
+            prop_assert!(err.contains(&named), "merge names cell {}: {}", cell, err);
+            let record = read_quarantine(&quarantine_path(&dir, &spec, cell), &spec).unwrap();
+            prop_assert_eq!(record.cause, "panic");
+        }
         prop_assert!(err.contains("--resume"), "merge points at the recovery path: {}", err);
 
         // Heal, resume every shard: only quarantined cells re-run, and the
@@ -341,13 +308,16 @@ proptest! {
         healthy.store(true, Ordering::SeqCst);
         counter.store(0, Ordering::SeqCst);
         for shard in Shard::all(n_shards) {
-            run_shard(&registry, &spec, shard, &dir, true, &policy).unwrap();
+            run_shard(&registry, &spec, shard, &dir, true).unwrap();
         }
         prop_assert_eq!(
             counter.load(Ordering::SeqCst),
             expected.len(),
             "resume re-runs only the quarantined cells"
         );
+        for &cell in &expected {
+            prop_assert!(!quarantine_path(&dir, &spec, cell).exists(), "stale quarantine artifact");
+        }
         let (merged_path, _) = merge(&spec, &dir).unwrap();
         let recovered = std::fs::read(merged_path).unwrap();
         prop_assert_eq!(recovered, reference, "recovered sweep is byte-identical");
@@ -355,98 +325,4 @@ proptest! {
         std::fs::remove_dir_all(&reference_dir).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-/// Transient faults (first attempt panics, retry succeeds) are absorbed
-/// by the retry budget inside a single run: nothing is quarantined and
-/// the artifact is byte-identical to a fault-free run.
-#[test]
-fn transient_panics_are_retried_to_a_byte_identical_artifact() {
-    use std::collections::HashMap;
-    use std::sync::Mutex;
-
-    fn transient_registry(attempts: Arc<Mutex<HashMap<i64, u32>>>) -> ScenarioRegistry {
-        let mut registry = ScenarioRegistry::new();
-        registry.register(Scenario::new(
-            "transient",
-            "odd cells panic on their first attempt only",
-            vec![ParamSpec {
-                name: "n",
-                kind: ParamKind::Int,
-                default: Some(ParamValue::Int(0)),
-                help: "any integer",
-            }],
-            move |cell| {
-                let n = cell.int("n")?;
-                // Release the lock before panicking so the injected fault
-                // doesn't poison the mutex for healthy cells.
-                let first_attempt = {
-                    let mut map = attempts.lock().unwrap();
-                    let seen = map.entry(n).or_insert(0);
-                    *seen += 1;
-                    *seen == 1
-                };
-                if n % 2 == 1 && first_attempt {
-                    panic!("transient fault in cell n={n}");
-                }
-                Ok(vec![("mix".to_string(), n as f64 * 3.0)])
-            },
-        ));
-        registry
-    }
-
-    let policy = RunPolicy {
-        max_retries: 1,
-        ..RunPolicy::default()
-    };
-    let spec_for = |registry: &ScenarioRegistry| {
-        registry
-            .resolve(
-                &SweepSpec::new("transient", 5, 1).axis("n", (0..8).map(ParamValue::Int).collect()),
-            )
-            .unwrap()
-    };
-
-    // Reference: every first attempt succeeds (pre-seed the attempt map).
-    let pre_seeded: HashMap<i64, u32> = (0..8).map(|n| (n, 7)).collect();
-    let reference_registry = Arc::new(transient_registry(Arc::new(Mutex::new(pre_seeded))));
-    let reference_spec = spec_for(&reference_registry);
-    let reference_dir = unique_dir("transient-ref");
-    let outcome = run_shard(
-        &reference_registry,
-        &reference_spec,
-        Shard::SINGLE,
-        &reference_dir,
-        false,
-        &policy,
-    )
-    .unwrap();
-    let reference = std::fs::read(outcome.merged.unwrap()).unwrap();
-
-    // Faulty run: odd cells burn one attempt each, retries recover all.
-    let attempts = Arc::new(Mutex::new(HashMap::new()));
-    let registry = Arc::new(transient_registry(attempts.clone()));
-    let spec = spec_for(&registry);
-    let dir = unique_dir("transient");
-    let outcome = run_shard(&registry, &spec, Shard::SINGLE, &dir, false, &policy).unwrap();
-    assert!(
-        outcome.quarantined.is_empty(),
-        "retries absorb transient faults"
-    );
-    let recovered = std::fs::read(outcome.merged.unwrap()).unwrap();
-    assert_eq!(
-        recovered, reference,
-        "retried cells reproduce the exact bytes"
-    );
-    let map = attempts.lock().unwrap();
-    for n in 0..8 {
-        assert_eq!(
-            map[&n],
-            if n % 2 == 1 { 2 } else { 1 },
-            "attempt count for n={n}"
-        );
-    }
-
-    std::fs::remove_dir_all(&reference_dir).ok();
-    std::fs::remove_dir_all(&dir).ok();
 }
