@@ -1563,7 +1563,10 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
 
     fn cancel_timer(&mut self, key: TimerKey) {
         if let Some(handle) = self.timers[key.slot()].take() {
-            self.engine.cancel(handle);
+            // `handle` clears a slot when its timer fires, so an armed
+            // slot always names a pending event.
+            let pending = self.engine.cancel(handle);
+            debug_assert!(pending, "armed timer {key:?} was not pending");
         }
     }
 

@@ -16,12 +16,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bicord_scenario::config::SimConfig;
+use bicord_scenario::config::{ExtraNodeConfig, SimConfig};
 use bicord_scenario::geometry::Location;
 use bicord_scenario::sim::CoexistenceSim;
 use bicord_sim::{stream_rng, FaultProfile, SeedDomain, SimDuration};
 use bicord_workloads::mobility::DeviceMobility;
-use bicord_workloads::traffic::ArrivalProcess;
+use bicord_workloads::traffic::{ArrivalProcess, BurstSpec};
 
 struct CountingAlloc;
 
@@ -78,6 +78,26 @@ fn office_bicord(duration: SimDuration) -> SimConfig {
     c
 }
 
+/// The benchmark's `multi_node_ecc` configuration: ECC-30 with node A
+/// sending 5-packet bursts every 300 ms, C 10-packet every 500 ms and D
+/// 3-packet every 400 ms. Of the protocol workloads it holds the most
+/// pending events.
+fn multi_node_ecc(duration: SimDuration) -> SimConfig {
+    let mut c = SimConfig::ecc(Location::A, SEED, SimDuration::from_millis(30));
+    c.duration = duration;
+    c.zigbee.arrivals = ArrivalProcess::Poisson(SimDuration::from_millis(300));
+    for (location, n_packets, interval_ms) in [(Location::C, 10, 500), (Location::D, 3, 400)] {
+        let mut node = ExtraNodeConfig::at(location);
+        node.burst = BurstSpec {
+            n_packets,
+            mpdu_bytes: 50,
+        };
+        node.arrivals = ArrivalProcess::Poisson(SimDuration::from_millis(interval_ms));
+        c.extra_nodes.push(node);
+    }
+    c
+}
+
 /// The benchmark's `mobile_faults` configuration: BiCord with 200 ms
 /// bursts while the sender moves (1 m, 250 ms steps), with control and
 /// CTS loss, phantom CSI and device churn.
@@ -129,6 +149,13 @@ fn office_bicord_dispatch_does_not_allocate() {
 #[test]
 fn mobile_faults_dispatch_does_not_allocate() {
     let per_event = allocations_per_extra_event(mobile_faults);
+    eprintln!("{per_event:.4} allocations per event");
+    assert!(per_event <= BOUND, "{per_event:.4} allocations per event");
+}
+
+#[test]
+fn multi_node_ecc_dispatch_does_not_allocate() {
+    let per_event = allocations_per_extra_event(multi_node_ecc);
     eprintln!("{per_event:.4} allocations per event");
     assert!(per_event <= BOUND, "{per_event:.4} allocations per event");
 }

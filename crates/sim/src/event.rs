@@ -24,7 +24,7 @@ use crate::time::SimTime;
 ///
 /// Handles are unique per [`EventQueue`] instance and never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventHandle(u64);
+pub struct EventHandle(pub(crate) u64);
 
 /// One-multiply hasher for dense integer keys (the medium's hot maps).
 /// SplitMix64-style finalization: fast, and sequential keys spread across
@@ -115,18 +115,20 @@ struct Entry<E> {
     event: E,
 }
 
+/// The queue key of the event numbered `seq` at `time`: time in the high
+/// half, so keys order by time with ties in scheduling order.
 #[inline]
-fn pack(time: SimTime, seq: u64) -> u128 {
+pub(crate) fn pack(time: SimTime, seq: u64) -> u128 {
     (u128::from(time.as_micros()) << 64) | u128::from(seq)
 }
 
 #[inline]
-fn unpack_time(key: u128) -> SimTime {
+pub(crate) fn unpack_time(key: u128) -> SimTime {
     SimTime::from_micros((key >> 64) as u64)
 }
 
 #[inline]
-fn unpack_seq(key: u128) -> u64 {
+pub(crate) fn unpack_seq(key: u128) -> u64 {
     key as u64
 }
 

@@ -326,6 +326,12 @@ fn parse_sweep_args<I: Iterator<Item = String>>(mut args: I) -> Result<SweepOpti
     if options.resume && options.spec.is_none() {
         return Err("--resume needs --spec".to_string());
     }
+    if options.resume && options.merge && options.shard.is_none() {
+        // `--merge` alone only merges, so it would skip the resumed run.
+        return Err("--resume with --merge needs --shard K/N \
+                    (--shard 1/1 for the whole sweep)"
+            .to_string());
+    }
     Ok(options)
 }
 
@@ -343,7 +349,9 @@ OPTIONS:
   --merge            reduce the shard artifacts into merged.json; alone
                      it only merges, after --shard it runs then merges
   --resume           keep valid existing artifacts, re-run missing or
-                     corrupt shards and failed cells only
+                     corrupt shards and failed cells only; with --merge
+                     it needs --shard K/N (--shard 1/1 for the whole
+                     sweep)
   --out-dir DIR      artifact directory                        [sweep_out]
   --threads N        worker threads (sets BICORD_THREADS)
   --list-scenarios   print the scenario registry and exit
@@ -408,9 +416,12 @@ fn run_sweep(options: &SweepOptions, registry: &bicord::sweep::ScenarioRegistry)
             if !outcome.quarantined.is_empty() {
                 eprintln!(
                     "sweep: shard {shard}: {} cells QUARANTINED {:?}; \
-                     see quarantine-cell-*.json, then re-run with --resume",
+                     see quarantine-cell-*.json, then re-run with \
+                     `bicord sweep --spec {} --out-dir {} --shard {shard} --resume`",
                     outcome.quarantined.len(),
-                    outcome.quarantined
+                    outcome.quarantined,
+                    spec_path.display(),
+                    options.out_dir.display(),
                 );
                 quarantined = outcome.quarantined.len();
             }
@@ -754,6 +765,20 @@ mod tests {
         assert!(parse_sweep(&["--spec", "s.json", "--threads", "0"]).is_err());
         assert!(parse_sweep(&["--spec", "s.json", "--warp"]).is_err());
         assert_eq!(parse_sweep(&["--help"]).unwrap_err(), "help");
+    }
+
+    #[test]
+    fn resume_with_merge_needs_a_shard() {
+        let err = parse_sweep(&["--spec", "s.json", "--resume", "--merge"]).unwrap_err();
+        assert!(err.contains("--shard K/N"), "{err}");
+        let o =
+            parse_sweep(&["--spec", "s.json", "--shard", "1/1", "--resume", "--merge"]).unwrap();
+        assert!(o.resume && o.merge);
+        assert!(
+            parse_sweep(&["--spec", "s.json", "--resume"])
+                .unwrap()
+                .resume
+        );
     }
 
     #[test]
