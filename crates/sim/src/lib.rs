@@ -7,8 +7,11 @@
 //! radios. It provides
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time,
-//! * [`EventQueue`] — a stable priority queue of timestamped events,
-//! * [`Engine`] — a run loop combining a clock with an event queue,
+//! * [`Engine`] — a run loop combining a clock with its pending events,
+//!   kept in one sorted `Vec` (cheap when most new events are due soon,
+//!   as in a protocol run),
+//! * [`EventQueue`] — a stable heap of timestamped events, for workloads
+//!   with thousands of far-spread pending events (the dense city),
 //! * [`rng`] — reproducible per-component random-number streams,
 //! * [`dist`] — the handful of distributions the models need (exponential,
 //!   normal, Poisson) implemented without external dependencies,
