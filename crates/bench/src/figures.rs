@@ -24,7 +24,7 @@ use bicord_scenario::geometry::Location;
 use bicord_scenario::sim::CoexistenceSim;
 use bicord_sim::dist::exponential_duration;
 use bicord_sim::{stream_rng, FaultProfile, SeedDomain, SimDuration, SimTime};
-use bicord_sweep::registry::robustness_config;
+use bicord_sweep::registry::coexist_config;
 use bicord_sweep::{ParamValue, ResultRow, ScenarioRegistry, SweepSpec};
 use bicord_workloads::traffic::ArrivalProcess;
 
@@ -1007,26 +1007,23 @@ fn multi_node_trace() -> SimConfig {
 /// The Sec. VI extension: **multiple coexisting ZigBee nodes with
 /// different traffic patterns** sharing one Wi-Fi coordinator, against
 /// ECC-30 as the baseline. The paper sketches this case but does not
-/// evaluate it. The grid runs through the scenario registry's
-/// `multi_node` entry.
+/// evaluate it. The grid runs through the scenario registry's `coexist`
+/// entry: node A sends 5-packet bursts every 300 ms, C adds 10-packet
+/// bursts every 500 ms, D 3-packet bursts every 400 ms.
 fn multi_node(scale: Scale) -> Output {
     let duration = scale.secs(30, 5);
     eprintln!("Multi-node: 1-3 heterogeneous ZigBee pairs x 2 schemes, {duration} each...");
+    let str = |s: &str| ParamValue::Str(s.to_string());
     let rows = run_registry_grid(
-        SweepSpec::new("multi_node", BENCH_SEED, 1)
+        SweepSpec::new("coexist", BENCH_SEED, 1)
+            .axis("mode", vec![str("bicord"), str("ecc-30")])
             .axis(
-                "scheme",
-                vec![
-                    ParamValue::Str("bicord".to_string()),
-                    ParamValue::Str("ecc-30".to_string()),
-                ],
+                "extra_nodes",
+                vec![str(""), str("C:10:500"), str("C:10:500,D:3:400")],
             )
+            .axis("interval_ms", vec![ParamValue::Int(300)])
             .axis(
-                "n_nodes",
-                vec![ParamValue::Int(1), ParamValue::Int(2), ParamValue::Int(3)],
-            )
-            .axis(
-                "duration_secs",
+                "seconds",
                 vec![ParamValue::Int(duration.as_secs_f64() as i64)],
             ),
     );
@@ -1034,10 +1031,7 @@ fn multi_node(scale: Scale) -> Output {
         cells: rows.len(),
         metrics: vec![(
             "mean_aggregate_pdr",
-            rows.iter()
-                .filter_map(|r| r.metric("aggregate_pdr"))
-                .sum::<f64>()
-                / rows.len() as f64,
+            rows.iter().filter_map(|r| r.metric("pdr")).sum::<f64>() / rows.len() as f64,
         )],
         ..Output::default()
     };
@@ -1058,16 +1052,13 @@ fn multi_node(scale: Scale) -> Output {
             .filter(|(name, _)| name.starts_with("pdr_node_"))
             .map(|(_, pdr)| format!("{:.0}%", pdr * 100.0))
             .collect();
-        let shown = |name: &str| {
-            param(row, name)
-                .map(ToString::to_string)
-                .unwrap_or_default()
-        };
         table.row(vec![
-            shown("scheme"),
-            shown("n_nodes"),
+            param(row, "mode")
+                .map(ToString::to_string)
+                .unwrap_or_default(),
+            per_node.len().to_string(),
             pct(metric(row, "utilization")),
-            pct(metric(row, "aggregate_pdr")),
+            pct(metric(row, "pdr")),
             row.metric("mean_delay_ms")
                 .filter(|d| d.is_finite())
                 .map(fmt1)
@@ -1171,42 +1162,54 @@ const FAULT_RATES: [f64; 5] = [0.0, 0.1, 0.25, 0.5, 0.9];
 
 /// Robustness sweep (not a paper figure): BiCord's coordination quality
 /// as the fault rate grows (control-packet loss, CTS-to-self loss,
-/// phantom CSI detections). At rate 0 the sweep must reproduce the
-/// no-fault baseline bit-identically — the run fails otherwise — and at
-/// high rates the coordinator must degrade gracefully (bounded retries,
-/// CSMA fallback) instead of deadlocking. The rate grid runs through the
-/// scenario registry's `robustness` entry.
+/// phantom CSI detections) at location A, with a second contending
+/// Wi-Fi station that makes CTS loss observable. At rate 0 the sweep
+/// must reproduce the no-fault baseline bit-identically — the run fails
+/// otherwise — and at high rates the coordinator must degrade gracefully
+/// (bounded retries, CSMA fallback) instead of deadlocking. The rate
+/// grid runs through the scenario registry's `coexist` entry.
 fn robustness_sweep(scale: Scale) -> Output {
     let duration = scale.secs(20, 3);
     eprintln!(
         "robustness sweep: {} fault rates x {duration}...",
         FAULT_RATES.len()
     );
+    let grid = SweepSpec::new("coexist", BENCH_SEED, 1)
+        .axis("extra_wifi", vec![ParamValue::Bool(true)])
+        // CTS loss at half the rate and phantom CSI at a tenth, each
+        // written in the product's shortest round-trip form so it parses
+        // back to the very same bits.
+        .axis(
+            "fault_profile",
+            FAULT_RATES
+                .map(|r| format!("control-loss={r},cts-loss={},csi-fp={}", r * 0.5, r * 0.1))
+                .map(ParamValue::Str)
+                .to_vec(),
+        )
+        .axis(
+            "seconds",
+            vec![ParamValue::Int(duration.as_secs_f64() as i64)],
+        );
 
     // Rate 0 must be bit-identical to a run without any fault profile.
-    let baseline = CoexistenceSim::new({
-        let mut c = robustness_config(0.0, BENCH_SEED, duration);
-        c.fault = FaultProfile::default();
-        c
+    let registry = ScenarioRegistry::builtin();
+    let cells = registry
+        .resolve(&grid)
+        .expect("built-in grid resolves")
+        .expand();
+    let rate0_config = coexist_config(&cells[0]).expect("valid rate-0 config");
+    let baseline = CoexistenceSim::new(SimConfig {
+        fault: FaultProfile::default(),
+        ..rate0_config.clone()
     })
     .expect("valid baseline config")
     .run();
-    let rate0 = CoexistenceSim::new(robustness_config(0.0, BENCH_SEED, duration))
+    let rate0 = CoexistenceSim::new(rate0_config)
         .expect("valid rate-0 config")
         .run();
     let rate0_identical = rate0 == baseline;
 
-    let rows = run_registry_grid(
-        SweepSpec::new("robustness", BENCH_SEED, 1)
-            .axis(
-                "fault_rate",
-                FAULT_RATES.iter().map(|&r| ParamValue::Float(r)).collect(),
-            )
-            .axis(
-                "duration_secs",
-                vec![ParamValue::Int(duration.as_secs_f64() as i64)],
-            ),
-    );
+    let rows = run_registry_grid(grid);
 
     let count = |row: &ResultRow, name: &str| (metric(row, name) as u64).to_string();
     let mut table = TextTable::new(vec![
@@ -1222,11 +1225,7 @@ fn robustness_sweep(scale: Scale) -> Output {
         "faults (ctl/cts/fp)",
     ]);
     table.title("Robustness sweep — BiCord under injected faults");
-    for row in &rows {
-        let rate = match param(row, "fault_rate") {
-            Some(ParamValue::Float(f)) => *f,
-            _ => f64::NAN,
-        };
+    for (row, rate) in rows.iter().zip(FAULT_RATES) {
         let delay = metric(row, "mean_delay_ms");
         table.row(vec![
             format!("{:.0}%", rate * 100.0),

@@ -101,6 +101,8 @@ pub mod zigbee_timing {
     pub const BYTE: SimDuration = SimDuration::from_micros(32);
     /// Synchronisation header + PHY header: 4 B preamble + 1 B SFD + 1 B PHR.
     pub const PHY_OVERHEAD_BYTES: usize = 6;
+    /// Largest MPDU a PHY frame carries (802.15.4 aMaxPHYPacketSize).
+    pub const MAX_MPDU_BYTES: usize = 127;
     /// One unit backoff period (20 symbols).
     pub const UNIT_BACKOFF: SimDuration = SimDuration::from_micros(320);
     /// CCA duration (8 symbols).

@@ -13,6 +13,7 @@ use bicord_core::allocation::AllocatorConfig;
 use bicord_core::client::ClientConfig;
 use bicord_core::signaling::DetectorConfig;
 use bicord_ctc::ecc::EccConfig;
+use bicord_phy::airtime::zigbee_timing::MAX_MPDU_BYTES;
 use bicord_phy::airtime::WifiRate;
 use bicord_phy::geometry::Point;
 use bicord_phy::noise::NoiseBurstProcess;
@@ -20,10 +21,13 @@ use bicord_phy::units::Dbm;
 use bicord_sim::{FaultProfile, SimDuration, SimTime};
 use bicord_workloads::mobility::{DeviceMobility, PersonMobility};
 use bicord_workloads::priority::PrioritySchedule;
-use bicord_workloads::traffic::{ArrivalProcess, BurstSpec};
 
 use crate::geometry::Location;
 use crate::trace::ChannelTrace;
+
+/// The traffic types of [`ZigbeeTrafficConfig`] and [`ExtraNodeConfig`],
+/// so config builders need no direct `bicord-workloads` dependency.
+pub use bicord_workloads::traffic::{ArrivalProcess, BurstSpec};
 
 /// Which coordination scheme the scenario runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -318,18 +322,14 @@ impl SimConfig {
         if self.duration.is_zero() {
             return Err(ConfigError::ZeroDuration);
         }
-        if self.zigbee.burst.n_packets == 0 || self.zigbee.burst.mpdu_bytes == 0 {
-            return Err(ConfigError::EmptyBurst { node: 0 });
-        }
+        check_burst(0, &self.zigbee.burst)?;
         if self.zigbee.arrivals.mean_interval().is_zero() {
             return Err(ConfigError::NonPositiveInterval {
                 what: "primary ZigBee burst arrivals",
             });
         }
         for (i, node) in self.extra_nodes.iter().enumerate() {
-            if node.burst.n_packets == 0 || node.burst.mpdu_bytes == 0 {
-                return Err(ConfigError::EmptyBurst { node: i + 1 });
-            }
+            check_burst(i + 1, &node.burst)?;
             if node.arrivals.mean_interval().is_zero() {
                 return Err(ConfigError::NonPositiveInterval {
                     what: "extra-node burst arrivals",
@@ -387,6 +387,21 @@ impl SimConfig {
     }
 }
 
+/// Rejects node `node`'s burst if it is empty or its packets do not fit
+/// in an 802.15.4 frame.
+fn check_burst(node: usize, burst: &BurstSpec) -> Result<(), ConfigError> {
+    if burst.n_packets == 0 || burst.mpdu_bytes == 0 {
+        return Err(ConfigError::EmptyBurst { node });
+    }
+    if burst.mpdu_bytes > MAX_MPDU_BYTES {
+        return Err(ConfigError::OversizedFrame {
+            node,
+            bytes: burst.mpdu_bytes,
+        });
+    }
+    Ok(())
+}
+
 /// Maximum ZigBee sender/receiver pairs per run (primary + extras): node
 /// device ids `2 + 2·n` must stay below the extra Wi-Fi station's fixed
 /// id 500.
@@ -406,6 +421,14 @@ pub enum ConfigError {
     EmptyBurst {
         /// Node index (0 = the primary node).
         node: usize,
+    },
+    /// A ZigBee node's packets exceed the 802.15.4 frame limit
+    /// ([`MAX_MPDU_BYTES`]).
+    OversizedFrame {
+        /// Node index (0 = the primary node).
+        node: usize,
+        /// The configured MPDU length.
+        bytes: usize,
     },
     /// More ZigBee pairs than the device-id layout supports.
     TooManyNodes {
@@ -450,6 +473,11 @@ impl fmt::Display for ConfigError {
                     "ZigBee node {node} has an empty burst (no packets or 0 B packets)"
                 )
             }
+            ConfigError::OversizedFrame { node, bytes } => write!(
+                f,
+                "ZigBee node {node} sends {bytes} B packets; 802.15.4 frames carry at most \
+                 {MAX_MPDU_BYTES} B"
+            ),
             ConfigError::TooManyNodes { count } => write!(
                 f,
                 "{count} ZigBee nodes exceed the supported maximum of {MAX_ZIGBEE_NODES}"
@@ -835,6 +863,24 @@ mod tests {
                 .unwrap_err(),
             ConfigError::EmptyBurst { node: 1 }
         );
+    }
+
+    #[test]
+    fn validate_rejects_frames_longer_than_802_15_4_allows() {
+        let oversized = |node, bytes| Err(ConfigError::OversizedFrame { node, bytes });
+        let fits = bicord_with(|c| c.zigbee.burst.mpdu_bytes = MAX_MPDU_BYTES);
+        assert_eq!(fits.validate(), Ok(()));
+        let primary = bicord_with(|c| c.zigbee.burst.mpdu_bytes = 5000);
+        assert_eq!(primary.validate(), oversized(0, 5000));
+        let mut node = ExtraNodeConfig::at(Location::C);
+        node.burst.mpdu_bytes = 128;
+        let extra = bicord_with(|c| {
+            c.extra_nodes
+                .extend([ExtraNodeConfig::at(Location::B), node])
+        });
+        assert_eq!(extra.validate(), oversized(2, 128));
+        let err = primary.validate().unwrap_err().to_string();
+        assert!(err.contains("node 0 sends 5000 B"), "{err}");
     }
 
     #[test]

@@ -872,80 +872,6 @@ pub fn energy_cost() -> Vec<EnergyRow> {
 }
 
 // ---------------------------------------------------------------------
-// Multiple ZigBee nodes (Sec. VI extension)
-// ---------------------------------------------------------------------
-
-/// One multi-node coexistence data point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiNodeRow {
-    /// Scheme under test.
-    pub scheme: Scheme,
-    /// Number of coexisting ZigBee pairs.
-    pub n_nodes: usize,
-    /// Total channel utilization.
-    pub utilization: f64,
-    /// Aggregate packet-delivery ratio.
-    pub aggregate_pdr: f64,
-    /// Aggregate mean delay, ms.
-    pub mean_delay_ms: Option<f64>,
-    /// Per-node delivery ratios.
-    pub per_node_pdr: Vec<f64>,
-    /// Per-node mean delays, ms.
-    pub per_node_delay_ms: Vec<Option<f64>>,
-}
-
-/// One cell of the Sec. VI multi-node grid: `n_nodes` heterogeneous
-/// ZigBee pairs (A: 5-packet bursts, C: 10-packet, D: 3-packet) under
-/// `scheme`. The single Wi-Fi-side estimate must serve the union of the
-/// requests. This is the per-cell entry point the `bicord-sweep`
-/// scenario registry drives.
-pub fn multi_node_cell(
-    scheme: Scheme,
-    n_nodes: usize,
-    seed: u64,
-    duration: SimDuration,
-) -> MultiNodeRow {
-    use crate::config::ExtraNodeConfig;
-    let mut config = scheme.config(Location::A, seed);
-    config.duration = duration;
-    config.zigbee.arrivals = ArrivalProcess::Poisson(SimDuration::from_millis(300));
-    if n_nodes >= 2 {
-        let mut c = ExtraNodeConfig::at(Location::C);
-        c.burst = BurstSpec {
-            n_packets: 10,
-            mpdu_bytes: 50,
-        };
-        c.arrivals = ArrivalProcess::Poisson(SimDuration::from_millis(500));
-        config.extra_nodes.push(c);
-    }
-    if n_nodes >= 3 {
-        let mut d = ExtraNodeConfig::at(Location::D);
-        d.burst = BurstSpec {
-            n_packets: 3,
-            mpdu_bytes: 50,
-        };
-        d.arrivals = ArrivalProcess::Poisson(SimDuration::from_millis(400));
-        config.extra_nodes.push(d);
-    }
-    let r = CoexistenceSim::new(config)
-        .expect("experiment presets build valid configs")
-        .run();
-    MultiNodeRow {
-        scheme,
-        n_nodes,
-        utilization: r.utilization,
-        aggregate_pdr: r.zigbee_pdr(),
-        mean_delay_ms: r.zigbee.mean_delay_ms,
-        per_node_pdr: r
-            .per_node
-            .iter()
-            .map(|n| n.delivered as f64 / n.generated.max(1) as f64)
-            .collect(),
-        per_node_delay_ms: r.per_node.iter().map(|n| n.mean_delay_ms).collect(),
-    }
-}
-
-// ---------------------------------------------------------------------
 // Ablations — the design choices DESIGN.md calls out
 // ---------------------------------------------------------------------
 

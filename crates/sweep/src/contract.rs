@@ -121,13 +121,13 @@ impl fmt::Display for ParamKind {
 ///
 /// ```json
 /// {
-///   "scenario": "multi_node",
+///   "scenario": "coexist",
 ///   "seed": 20210705,
 ///   "replicates": 1,
 ///   "params": {
-///     "scheme": ["bicord", "ecc-30"],
-///     "n_nodes": [1, 2, 3],
-///     "duration_secs": 5
+///     "mode": ["bicord", "ecc-30"],
+///     "extra_nodes": ["", "C:10:500"],
+///     "seconds": 5
 ///   }
 /// }
 /// ```
@@ -206,6 +206,10 @@ impl SweepSpec {
                 ))
             }
         };
+        if seed.checked_add(u64::from(replicates) - 1).is_none() {
+            let last = format!("{seed} + {} replicates", replicates - 1);
+            return Err(format!("\"seed\" {last} overflows a 64-bit seed"));
+        }
         let mut axes = Vec::new();
         if let Some(params) = doc.get("params") {
             let params = params.as_object().ok_or_else(|| {
@@ -561,6 +565,12 @@ mod tests {
                 .is_err()
         );
         assert!(SweepSpec::parse("{\"scenario\": \"x\", \"seed\": 1, \"replicates\": 0}").is_err());
+        let spec =
+            |seed: u64| format!("{{\"scenario\": \"x\", \"seed\": {seed}, \"replicates\": 2}}");
+        let err = SweepSpec::parse(&spec(u64::MAX)).unwrap_err();
+        assert!(err.contains("\"seed\""), "{err}");
+        let last = SweepSpec::parse(&spec(u64::MAX - 1)).unwrap().expand();
+        assert_eq!(last[1].seed, u64::MAX);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   into ordered [`Cell`]s ([`contract`]).
 //! * [`ScenarioRegistry`] — each scenario registers a name, a typed
 //!   parameter schema, and a `run(cell) -> metrics` closure
-//!   ([`registry`]). `multi_node`, `robustness`, and `dense_city` are
-//!   built in.
+//!   ([`registry`]). `coexist` (the `bicord` flags as axes),
+//!   `dense_city` and `cti_accuracy` are built in.
 //! * [`Shard`] — round-robin partition of cells into independent work
 //!   units ([`shard`]); `bicord sweep --spec FILE --shard K/N` runs one.
 //! * [`artifact`] — per-shard JSON artifacts under content-addressed
@@ -210,10 +210,10 @@ mod tests {
     fn errors_render_useful_messages() {
         let e = SweepError::UnknownScenario {
             name: "warp".to_string(),
-            known: vec!["multi_node".to_string()],
+            known: vec!["coexist".to_string()],
         };
         assert!(e.to_string().contains("warp"));
-        assert!(e.to_string().contains("multi_node"));
+        assert!(e.to_string().contains("coexist"));
         let e = SweepError::IncompleteSweep {
             problems: vec!["shard 1/2: missing".to_string()],
         };

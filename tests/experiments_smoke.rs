@@ -5,9 +5,10 @@
 use bicord::scenario::experiments::{
     ablation_allocator, ablation_detector, cti_accuracy, energy_cost, energy_cost_measured,
     fig10_comparison, fig10_replicated, fig11_parameters, fig12_mobility_replicated,
-    fig13_priority, fig7_learning, fig8_fig9, multi_node_cell, table1_2, MobilityScenario, Scheme,
+    fig13_priority, fig7_learning, fig8_fig9, table1_2, MobilityScenario, Scheme,
 };
 use bicord::sim::SimDuration;
+use bicord::sweep::{run_cells, ScenarioRegistry, SweepSpec};
 
 #[test]
 fn table1_2_covers_the_full_grid() {
@@ -115,16 +116,21 @@ fn energy_runners_smoke() {
 
 #[test]
 fn multi_node_grid_shape() {
-    // The grid the registry's "multi_node" scenario spans, cell by cell.
-    let rows: Vec<_> = [Scheme::Bicord, Scheme::Ecc(30)]
-        .into_iter()
-        .flat_map(|scheme| {
-            (1..=3).map(move |n| multi_node_cell(scheme, n, 909, SimDuration::from_secs(2)))
-        })
-        .collect();
+    // The `coexist` grid `bicord-bench multi_node` runs, at 2 s a cell.
+    let spec = SweepSpec::parse(
+        r#"{"scenario": "coexist", "seed": 909, "params": {"mode": ["bicord", "ecc-30"],
+            "extra_nodes": ["", "C:10:500", "C:10:500,D:3:400"], "interval_ms": 300, "seconds": 2}}"#,
+    );
+    let registry = ScenarioRegistry::builtin();
+    let spec = registry.resolve(&spec.unwrap()).unwrap();
+    let rows = run_cells(&registry, &spec, spec.expand()).unwrap();
     assert_eq!(rows.len(), 2 * 3);
-    for row in &rows {
-        assert_eq!(row.per_node_pdr.len(), row.n_nodes);
+    for (i, row) in rows.iter().enumerate() {
+        let per_node = row
+            .metrics
+            .iter()
+            .filter(|(n, _)| n.starts_with("pdr_node_"));
+        assert_eq!(per_node.count(), 1 + i / 2, "cell {i}");
     }
 }
 

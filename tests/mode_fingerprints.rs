@@ -18,7 +18,8 @@ use bicord::scenario::sim::CoexistenceSim;
 use bicord::sim::obs::{TraceEvent, VecSink};
 use bicord::sim::{stream_rng, SeedDomain, SimDuration};
 use bicord::sweep::contract::fnv1a;
-use bicord::sweep::registry::robustness_config;
+use bicord::sweep::registry::coexist_config;
+use bicord::sweep::{ScenarioRegistry, SweepSpec};
 use bicord::workloads::priority::PrioritySchedule;
 use bicord::workloads::traffic::ArrivalProcess;
 
@@ -123,8 +124,20 @@ fn ecc_with_lost_notifications() {
 
 #[test]
 fn second_wifi_station_with_faults() {
-    let config = robustness_config(0.2, 34, SimDuration::from_secs(3));
+    // The robustness sweep's rate-0.2 cell: CTS loss and phantom CSI at
+    // 0.2 × 0.5 and 0.2 × 0.1, written as the products' shortest forms.
+    let spec = SweepSpec::parse(
+        r#"{"scenario": "coexist", "seed": 34, "params": {"extra_wifi": true, "seconds": 3,
+            "fault_profile": "control-loss=0.2,cts-loss=0.1,csi-fp=0.020000000000000004"}}"#,
+    );
+    let cell = ScenarioRegistry::builtin()
+        .resolve(&spec.unwrap())
+        .unwrap()
+        .expand()
+        .remove(0);
+    let config = coexist_config(&cell).unwrap();
     assert!(config.extra_wifi.is_some());
+    assert_eq!(config.fault.csi_false_positive, 0.2 * 0.1);
     let (r, sink) = check(
         "second_wifi_station_with_faults",
         config,

@@ -42,7 +42,7 @@ fn seed_documents() -> Vec<String> {
         cell: 1,
         seed: 20_210_706,
         replicate: 0,
-        params: vec![("fault_rate".to_string(), ParamValue::Float(0.25))],
+        params: vec![("seconds".to_string(), ParamValue::Int(2))],
         metrics: vec![("pdr".to_string(), 0.9), ("gone".to_string(), f64::NAN)],
     };
     let quarantine = QuarantineRecord {
@@ -176,4 +176,11 @@ fn seed_documents_parse_cleanly() {
     for spec_doc in &docs[6..] {
         SweepSpec::parse(spec_doc).unwrap();
     }
+}
+
+#[test]
+fn spec_whose_replicate_seeds_overflow_is_an_error() {
+    // The second replicate's seed would be 2^64 (0 in release, a panic in debug).
+    let spec = r#"{"scenario": "coexist", "seed": 18446744073709551615, "replicates": 2}"#;
+    assert!(SweepSpec::parse(spec).unwrap_err().contains("\"seed\""));
 }
