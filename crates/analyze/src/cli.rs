@@ -12,6 +12,7 @@
 
 use std::path::PathBuf;
 
+use bicord_sim::obs::TraceFile;
 use bicord_sim::stdout::print;
 
 use crate::bench::{
@@ -19,7 +20,6 @@ use crate::bench::{
 };
 use crate::diff::diff_traces;
 use crate::summarize::{Analytics, SummarizeOptions};
-use crate::trace::TraceFile;
 
 /// Output flavor of the reporting subcommands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

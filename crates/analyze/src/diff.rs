@@ -13,8 +13,7 @@ use std::fmt::Write as _;
 
 use bicord_metrics::table::TextTable;
 use bicord_sim::json;
-
-use crate::trace::{Record, TraceFile};
+use bicord_sim::obs::{TraceEvent, TraceFile, TraceSummary};
 
 /// What happened to one record population between trace A and trace B.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,17 +170,17 @@ impl TraceDiff {
 }
 
 /// The population key of one record.
-fn key_of(record: &Record) -> String {
-    match record.node() {
-        Some(node) => format!("{}/node={node}", record.kind),
-        None => record.kind.clone(),
+fn key_of(event: &TraceEvent) -> String {
+    match event.node() {
+        Some(node) => format!("{}/node={node}", event.kind()),
+        None => event.kind().to_string(),
     }
 }
 
-fn group(trace: &TraceFile) -> BTreeMap<String, Vec<&Record>> {
-    let mut map: BTreeMap<String, Vec<&Record>> = BTreeMap::new();
-    for r in &trace.records {
-        map.entry(key_of(r)).or_default().push(r);
+fn group(trace: &TraceFile) -> BTreeMap<String, Vec<&TraceEvent>> {
+    let mut map: BTreeMap<String, Vec<&TraceEvent>> = BTreeMap::new();
+    for event in &trace.records {
+        map.entry(key_of(event)).or_default().push(event);
     }
     map
 }
@@ -209,7 +208,7 @@ pub fn diff_traces(a: &TraceFile, b: &TraceFile) -> TraceDiff {
     let mut keys: Vec<&String> = groups_a.keys().chain(groups_b.keys()).collect();
     keys.sort();
     keys.dedup();
-    let empty: Vec<&Record> = Vec::new();
+    let empty: Vec<&TraceEvent> = Vec::new();
     let rows = keys
         .into_iter()
         .map(|key| {
@@ -221,11 +220,7 @@ pub fn diff_traces(a: &TraceFile, b: &TraceFile) -> TraceDiff {
                 DiffStatus::Removed
             } else if ra.len() != rb.len() {
                 DiffStatus::CountChanged
-            } else if ra
-                .iter()
-                .zip(rb.iter())
-                .any(|(x, y)| x.t_us != y.t_us || x.fields != y.fields)
-            {
+            } else if ra != rb {
                 DiffStatus::PayloadChanged
             } else {
                 DiffStatus::Equal
@@ -239,7 +234,7 @@ pub fn diff_traces(a: &TraceFile, b: &TraceFile) -> TraceDiff {
         })
         .collect();
 
-    let empty_summary = crate::trace::TraceSummary::default();
+    let empty_summary = TraceSummary::default();
     let (sa, sb) = (
         a.summary.as_ref().unwrap_or(&empty_summary),
         b.summary.as_ref().unwrap_or(&empty_summary),

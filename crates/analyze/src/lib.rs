@@ -17,13 +17,13 @@
 //!   exit code; this is the CI `perf-budget-report` gate. Host time is
 //!   judged by `scripts/ab.sh` instead.
 //!
-//! Parsing is closed-world (`bicord_sim::obs::TraceEvent::KINDS`): a
-//! record kind the analyzer does not know is a hard error naming the
-//! kind, so the analytics can never silently rot as the trace schema
-//! grows. The exhaustive round-trip test in `tests/record_kinds.rs`
-//! enforces the same property at compile time against
-//! `bicord_sim::obs::TraceEvent`. Every file is read with the workspace
-//! codec, `bicord_sim::json`.
+//! Traces are read with `bicord_sim::obs::TraceFile`, the reader that
+//! sits beside the writer, into typed `TraceEvent`s. A record with a
+//! missing, mistyped or unknown field, or of an unknown kind, is an
+//! error naming its line, never a silent zero. `summarize` places each
+//! record with one `match` over `TraceEvent` that has no wildcard arm,
+//! so a new variant does not build until the report handles it. Other
+//! files are read with the workspace codec, `bicord_sim::json`.
 //!
 //! Everything here is a pure function of its input files — no simulation
 //! runs, no clocks, no randomness — so reports are byte-deterministic.
@@ -35,4 +35,3 @@ pub mod bench;
 pub mod cli;
 pub mod diff;
 pub mod summarize;
-pub mod trace;

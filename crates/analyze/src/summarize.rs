@@ -6,39 +6,13 @@
 //! JSON renderings are deterministic — two runs of the same seeded
 //! simulation summarize to identical bytes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use bicord_metrics::table::TextTable;
 
-use bicord_sim::json::{self, Json};
-
-use crate::trace::{Record, TraceFile};
-
-/// The record kinds counted by the fault/fallback/guard section, in
-/// report order.
-const FAULT_KINDS: &[&str] = &[
-    "fault_control_lost",
-    "fault_cts_lost",
-    "fault_phantom_csi",
-    "fault_churn",
-    "signaling_backoff",
-    "csma_fallback",
-    "learning_abort",
-    "guard_stall",
-    "guard_liveness",
-    "guard_conservation",
-];
-
-/// The node-attributed kinds that can open a burst window (the span of a
-/// burst is measured from the first of these after the previous
-/// `burst_complete` to the completing record).
-const BURST_OPENERS: &[&str] = &[
-    "channel_request",
-    "packet_delivered",
-    "signaling_backoff",
-    "csma_fallback",
-];
+use bicord_sim::json;
+use bicord_sim::obs::{AllocationPhase, ReEstimateReason, TraceEvent, TraceFile};
 
 /// Upper edges of the burst-span waterfall buckets, in microseconds.
 /// The final bucket is open-ended.
@@ -63,7 +37,7 @@ impl Default for SummarizeOptions {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeBursts {
     /// Node index (0 = the primary ZigBee pair).
-    pub node: u64,
+    pub node: u32,
     /// Completed bursts.
     pub bursts: usize,
     /// Packets delivered across all bursts.
@@ -105,20 +79,20 @@ pub struct Utilization {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Convergence {
     /// `(t_us, estimate_us, rounds, phase)` per `estimate` record.
-    pub estimates: Vec<(u64, u64, u64, String)>,
+    pub estimates: Vec<(u64, u64, u32, AllocationPhase)>,
     /// `n_round` records seen.
     pub n_rounds: usize,
     /// Largest round count any burst reached.
-    pub max_rounds: u64,
+    pub max_rounds: u32,
     /// `re_estimate` counts by reason, in first-seen order.
-    pub re_estimates: Vec<(String, usize)>,
+    pub re_estimates: Vec<(ReEstimateReason, usize)>,
 }
 
 /// Everything `bicord analyze summarize` reports.
 #[derive(Debug, Clone)]
 pub struct Analytics {
     /// `(kind, count, first_t_us, last_t_us)` per kind present.
-    pub populations: Vec<(String, usize, u64, u64)>,
+    pub populations: Vec<(&'static str, usize, u64, u64)>,
     /// Per-node burst tallies, by node index.
     pub bursts: Vec<NodeBursts>,
     /// Burst-span histogram across all nodes.
@@ -128,7 +102,7 @@ pub struct Analytics {
     /// Allocator convergence.
     pub convergence: Convergence,
     /// `(kind, count)` for the fault/fallback/guard kinds present.
-    pub faults: Vec<(String, usize)>,
+    pub faults: Vec<(&'static str, usize)>,
     /// Span of the analyzed timeline, microseconds (header duration, or
     /// the last record's timestamp if it runs past the header).
     pub span_us: u64,
@@ -137,28 +111,91 @@ pub struct Analytics {
 impl Analytics {
     /// Computes every section from a parsed trace.
     pub fn compute(trace: &TraceFile, options: &SummarizeOptions) -> Self {
-        let span_us = trace
-            .records
-            .iter()
-            .map(|r| r.t_us)
+        let span_us = (trace.records.iter())
+            .map(TraceEvent::time_us)
             .max()
             .unwrap_or(0)
             .max(trace.header.duration_us)
             .max(1);
-        let (bursts, spans) = node_bursts(trace);
+        let mut bursts = Bursts::default();
+        let mut white_spaces = Vec::new();
+        let mut convergence = Convergence::default();
+        let mut fault_kinds = BTreeSet::new();
+        for event in &trace.records {
+            // One arm per record kind and no wildcard: a new TraceEvent
+            // variant does not build until the report places it.
+            match *event {
+                // Burst openers.
+                TraceEvent::ChannelRequest { t_us, node }
+                | TraceEvent::PacketDelivered { t_us, node, .. } => bursts.open(node, t_us),
+                // Burst openers that are also fallback tallies.
+                TraceEvent::SignalingBackoff { t_us, node, .. }
+                | TraceEvent::CsmaFallback { t_us, node, .. } => {
+                    bursts.open(node, t_us);
+                    fault_kinds.insert(event.kind());
+                }
+                // Burst end.
+                TraceEvent::BurstComplete {
+                    t_us,
+                    node,
+                    delivered,
+                    failed,
+                } => bursts.complete(node, t_us, delivered, failed),
+                // Utilization and allocator convergence.
+                TraceEvent::WhiteSpace { t_us, nav_us } => white_spaces.push((t_us, nav_us)),
+                TraceEvent::Estimate {
+                    t_us,
+                    estimate_us,
+                    rounds,
+                    phase,
+                } => convergence
+                    .estimates
+                    .push((t_us, estimate_us, rounds, phase)),
+                TraceEvent::NRound { rounds, .. } => {
+                    convergence.n_rounds += 1;
+                    convergence.max_rounds = convergence.max_rounds.max(rounds);
+                }
+                TraceEvent::ReEstimate { reason, .. } => {
+                    let seen = &mut convergence.re_estimates;
+                    match seen.iter_mut().find(|(r, _)| *r == reason) {
+                        Some((_, n)) => *n += 1,
+                        None => seen.push((reason, 1)),
+                    }
+                }
+                // Fault and guard tallies.
+                TraceEvent::FaultControlLost { .. }
+                | TraceEvent::FaultCtsLost { .. }
+                | TraceEvent::FaultPhantomCsi { .. }
+                | TraceEvent::FaultChurn { .. }
+                | TraceEvent::LearningAbort { .. }
+                | TraceEvent::GuardStall { .. }
+                | TraceEvent::GuardLiveness { .. }
+                | TraceEvent::GuardConservation { .. } => {
+                    fault_kinds.insert(event.kind());
+                }
+                // Counted in the populations only.
+                TraceEvent::Dequeue { .. }
+                | TraceEvent::CsiClassified { .. }
+                | TraceEvent::Detection { .. }
+                | TraceEvent::Reservation { .. }
+                | TraceEvent::TrialResolved { .. }
+                | TraceEvent::MediumCacheInvalidated { .. }
+                | TraceEvent::MediumCacheStats { .. }
+                | TraceEvent::MediumGridStats { .. } => {}
+            }
+        }
+        let populations = populations(trace);
+        let (bursts, spans) = bursts.rows();
         Analytics {
-            populations: populations(trace),
+            faults: (populations.iter())
+                .filter(|(kind, ..)| fault_kinds.contains(kind))
+                .map(|&(kind, count, ..)| (kind, count))
+                .collect(),
+            populations,
             bursts,
             waterfall: waterfall(&spans),
-            utilization: utilization(trace, span_us, options.bins.max(1)),
-            convergence: convergence(trace),
-            faults: FAULT_KINDS
-                .iter()
-                .filter_map(|kind| {
-                    let n = trace.of_kind(kind).count();
-                    (n > 0).then(|| (kind.to_string(), n))
-                })
-                .collect(),
+            utilization: utilization(&white_spaces, span_us, options.bins.max(1)),
+            convergence,
             span_us,
         }
     }
@@ -205,7 +242,7 @@ impl Analytics {
         pop.title("event populations");
         for (kind, count, first, last) in &self.populations {
             pop.row(vec![
-                kind.clone(),
+                kind.to_string(),
                 count.to_string(),
                 format!("{:.1}", *first as f64 / 1e3),
                 format!("{:.1}", *last as f64 / 1e3),
@@ -283,7 +320,7 @@ impl Analytics {
                 first.1 as f64 / 1e3,
                 first.2,
                 last.1 as f64 / 1e3,
-                last.3
+                last.3.as_str()
             );
         } else {
             out.push_str("  estimates: none recorded\n");
@@ -299,7 +336,7 @@ impl Analytics {
             let list: Vec<String> = c
                 .re_estimates
                 .iter()
-                .map(|(reason, n)| format!("{reason} {n}"))
+                .map(|(reason, n)| format!("{} {n}", reason.as_str()))
                 .collect();
             let _ = writeln!(out, "  re-estimates: {}", list.join(", "));
         }
@@ -311,7 +348,7 @@ impl Analytics {
             let mut t = TextTable::new(vec!["kind", "count"]);
             t.title("faults, fallbacks & guards");
             for (kind, n) in &self.faults {
-                t.row(vec![kind.clone(), n.to_string()]);
+                t.row(vec![kind.to_string(), n.to_string()]);
             }
             let _ = write!(out, "{t}");
         }
@@ -390,7 +427,7 @@ impl Analytics {
                 out,
                 ",\"final_estimate_us\":{},\"final_phase\":{}",
                 last.1,
-                json::escape(&last.3)
+                json::escape(last.3.as_str())
             );
         }
         out.push_str(",\"re_estimates\":{");
@@ -398,7 +435,7 @@ impl Analytics {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{n}", json::escape(reason));
+            let _ = write!(out, "{}:{n}", json::escape(reason.as_str()));
         }
         out.push_str("}},\"faults\":{");
         for (i, (kind, n)) in self.faults.iter().enumerate() {
@@ -412,61 +449,74 @@ impl Analytics {
     }
 }
 
-fn populations(trace: &TraceFile) -> Vec<(String, usize, u64, u64)> {
-    trace
-        .populations()
-        .into_iter()
-        .map(|(kind, count)| {
-            let first = trace.of_kind(kind).map(|r| r.t_us).next().unwrap_or(0);
-            let last = trace.of_kind(kind).map(|r| r.t_us).last().unwrap_or(0);
-            (kind.to_string(), count, first, last)
+/// `(kind, count, first_t_us, last_t_us)` per kind present, in
+/// [`TraceEvent::KINDS`] order.
+fn populations(trace: &TraceFile) -> Vec<(&'static str, usize, u64, u64)> {
+    (TraceEvent::KINDS.iter())
+        .filter_map(|&kind| {
+            let mut times = (trace.records.iter())
+                .filter(|e| e.kind() == kind)
+                .map(TraceEvent::time_us);
+            let first = times.next()?;
+            let (count, last) = times.fold((1, first), |(n, _), t| (n + 1, t));
+            Some((kind, count, first, last))
         })
         .collect()
 }
 
-/// Per-node tallies plus the flat list of burst spans (for the
-/// waterfall).
-fn node_bursts(trace: &TraceFile) -> (Vec<NodeBursts>, Vec<u64>) {
-    #[derive(Default)]
-    struct Acc {
-        open_since: Option<u64>,
-        spans: Vec<u64>,
-        delivered: u64,
-        failed: u64,
+/// Per-node burst accumulators. A burst's span runs from the first
+/// opener after the node's previous `burst_complete` to the completing
+/// record.
+#[derive(Default)]
+struct Bursts(BTreeMap<u32, BurstAcc>);
+
+#[derive(Default)]
+struct BurstAcc {
+    open_since: Option<u64>,
+    spans: Vec<u64>,
+    delivered: u64,
+    failed: u64,
+}
+
+impl Bursts {
+    fn open(&mut self, node: u32, t_us: u64) {
+        self.0
+            .entry(node)
+            .or_default()
+            .open_since
+            .get_or_insert(t_us);
     }
-    let mut nodes: BTreeMap<u64, Acc> = BTreeMap::new();
-    for r in &trace.records {
-        let Some(node) = r.node() else { continue };
-        if r.kind == "burst_complete" {
-            let acc = nodes.entry(node).or_default();
-            let start = acc.open_since.take().unwrap_or(r.t_us);
-            acc.spans.push(r.t_us - start);
-            acc.delivered += r.field("delivered").and_then(Json::as_u64).unwrap_or(0);
-            acc.failed += r.field("failed").and_then(Json::as_u64).unwrap_or(0);
-        } else if BURST_OPENERS.contains(&r.kind.as_str()) {
-            let acc = nodes.entry(node).or_default();
-            acc.open_since.get_or_insert(r.t_us);
-        }
+
+    fn complete(&mut self, node: u32, t_us: u64, delivered: u32, failed: u32) {
+        let acc = self.0.entry(node).or_default();
+        let start = acc.open_since.take().unwrap_or(t_us);
+        acc.spans.push(t_us - start);
+        acc.delivered += u64::from(delivered);
+        acc.failed += u64::from(failed);
     }
-    let mut all_spans = Vec::new();
-    let rows = nodes
-        .into_iter()
-        .filter(|(_, acc)| !acc.spans.is_empty())
-        .map(|(node, acc)| {
-            let sum: u64 = acc.spans.iter().sum();
-            let row = NodeBursts {
-                node,
-                bursts: acc.spans.len(),
-                delivered: acc.delivered,
-                failed: acc.failed,
-                mean_span_us: sum as f64 / acc.spans.len() as f64,
-                max_span_us: acc.spans.iter().copied().max().unwrap_or(0),
-            };
-            all_spans.extend_from_slice(&acc.spans);
-            row
-        })
-        .collect();
-    (rows, all_spans)
+
+    /// Per-node tallies plus the flat list of burst spans (for the
+    /// waterfall).
+    fn rows(self) -> (Vec<NodeBursts>, Vec<u64>) {
+        let mut all_spans = Vec::new();
+        let rows = (self.0.into_iter())
+            .filter(|(_, acc)| !acc.spans.is_empty())
+            .map(|(node, acc)| {
+                let sum: u64 = acc.spans.iter().sum();
+                let row = NodeBursts {
+                    node,
+                    bursts: acc.spans.len(),
+                    delivered: acc.delivered,
+                    failed: acc.failed,
+                    mean_span_us: sum as f64 / acc.spans.len() as f64,
+                    max_span_us: acc.spans.iter().copied().max().unwrap_or(0),
+                };
+                all_spans.extend_from_slice(&acc.spans);
+                row
+            })
+            .collect();
+        (rows, all_spans)
+    }
 }
 
 fn waterfall(spans: &[u64]) -> Vec<WaterfallBucket> {
@@ -509,14 +559,12 @@ fn waterfall(spans: &[u64]) -> Vec<WaterfallBucket> {
         .collect()
 }
 
-fn utilization(trace: &TraceFile, span_us: u64, bins: usize) -> Utilization {
+/// Bins `(t_us, nav_us)` white spaces over the run.
+fn utilization(white_spaces: &[(u64, u64)], span_us: u64, bins: usize) -> Utilization {
     let bin_us = span_us.div_ceil(bins as u64).max(1);
     let mut covered = vec![0u64; bins];
-    let mut white_spaces = 0usize;
     let mut reserved_us = 0u64;
-    for r in trace.of_kind("white_space") {
-        let nav = r.field("nav_us").and_then(Json::as_u64).unwrap_or(0);
-        white_spaces += 1;
+    for &(t_us, nav) in white_spaces {
         reserved_us += nav;
         // Spread [t, t+nav) across the bins it overlaps. Clamp the end
         // to the binned range (`bins * bin_us >= span_us`, and a NAV can
@@ -524,7 +572,7 @@ fn utilization(trace: &TraceFile, span_us: u64, bins: usize) -> Utilization {
         // every chunk lands in a real bin and is at least 1 µs, so the
         // walk always terminates.
         let total_us = bin_us * bins as u64;
-        let (mut t, end) = (r.t_us, (r.t_us + nav).min(total_us));
+        let (mut t, end) = (t_us, (t_us + nav).min(total_us));
         while t < end {
             let bin = (t / bin_us) as usize;
             let bin_end = (bin as u64 + 1) * bin_us;
@@ -539,52 +587,10 @@ fn utilization(trace: &TraceFile, span_us: u64, bins: usize) -> Utilization {
             .map(|&c| (c as f64 / bin_us as f64).min(1.0))
             .collect(),
         bin_us,
-        white_spaces,
+        white_spaces: white_spaces.len(),
         reserved_us,
         fraction: reserved_us as f64 / span_us as f64,
     }
-}
-
-fn convergence(trace: &TraceFile) -> Convergence {
-    let mut c = Convergence::default();
-    for r in trace.of_kind("estimate") {
-        c.estimates.push((
-            r.t_us,
-            r.field("estimate_us").and_then(Json::as_u64).unwrap_or(0),
-            r.field("rounds").and_then(Json::as_u64).unwrap_or(0),
-            r.field("phase")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-        ));
-    }
-    for r in trace.of_kind("n_round") {
-        c.n_rounds += 1;
-        c.max_rounds = c
-            .max_rounds
-            .max(r.field("rounds").and_then(Json::as_u64).unwrap_or(0));
-    }
-    for r in trace.of_kind("re_estimate") {
-        let reason = r
-            .field("reason")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string();
-        match c.re_estimates.iter_mut().find(|(r, _)| *r == reason) {
-            Some((_, n)) => *n += 1,
-            None => c.re_estimates.push((reason, 1)),
-        }
-    }
-    c
-}
-
-/// Convenience: records of one node, used by tests.
-pub fn records_of_node(trace: &TraceFile, node: u64) -> Vec<&Record> {
-    trace
-        .records
-        .iter()
-        .filter(|r| r.node() == Some(node))
-        .collect()
 }
 
 #[cfg(test)]
@@ -660,13 +666,33 @@ mod tests {
     fn convergence_and_faults() {
         let a = Analytics::compute(&sample(), &SummarizeOptions::default());
         assert_eq!(a.convergence.estimates.len(), 2);
-        assert_eq!(a.convergence.estimates[1].3, "converged");
+        assert_eq!(a.convergence.estimates[1].3, AllocationPhase::Converged);
         assert_eq!(a.convergence.max_rounds, 1);
         assert_eq!(
             a.convergence.re_estimates,
-            vec![("shrink-probe".to_string(), 1)]
+            vec![(ReEstimateReason::ShrinkProbe, 1)]
         );
-        assert_eq!(a.faults, vec![("csma_fallback".to_string(), 1)]);
+        assert_eq!(a.faults, vec![("csma_fallback", 1)]);
+    }
+
+    #[test]
+    fn populations_follow_taxonomy_order() {
+        let a = Analytics::compute(&sample(), &SummarizeOptions::default());
+        let kinds: Vec<(&str, usize)> = a.populations.iter().map(|p| (p.0, p.1)).collect();
+        assert_eq!(
+            kinds,
+            [
+                ("channel_request", 2),
+                ("white_space", 2),
+                ("n_round", 1),
+                ("estimate", 2),
+                ("re_estimate", 1),
+                ("burst_complete", 2),
+                ("packet_delivered", 1),
+                ("csma_fallback", 1),
+            ]
+        );
+        assert_eq!(a.populations[0].2..=a.populations[0].3, 1_000..=500_000);
     }
 
     #[test]

@@ -5,11 +5,10 @@
 
 use bicord_analyze::diff::diff_traces;
 use bicord_analyze::summarize::{Analytics, SummarizeOptions};
-use bicord_analyze::trace::TraceFile;
 use bicord_scenario::config::SimConfig;
 use bicord_scenario::geometry::Location;
 use bicord_scenario::sim::CoexistenceSim;
-use bicord_sim::obs::{JsonlSink, TraceHeader};
+use bicord_sim::obs::{JsonlSink, TraceFile, TraceHeader};
 use bicord_sim::SimDuration;
 
 /// Runs one short traced simulation and parses the trace back.

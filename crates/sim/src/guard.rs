@@ -32,6 +32,7 @@
 //!
 //! [`Engine::same_time_streak`]: crate::engine::Engine::same_time_streak
 
+use crate::obs::Invariant;
 use crate::time::{SimDuration, SimTime};
 
 /// Tunable bounds of a [`RuntimeGuard`].
@@ -83,9 +84,8 @@ pub enum GuardViolation {
     ConservationBroken {
         /// Time of the check, in microseconds.
         t_us: u64,
-        /// Which invariant broke (`"active_transmissions"`,
-        /// `"airtime_accounting"`).
-        invariant: &'static str,
+        /// Which invariant broke.
+        invariant: Invariant,
         /// The value the invariant predicts.
         expected: u64,
         /// The value actually observed.
@@ -127,7 +127,8 @@ impl std::fmt::Display for GuardViolation {
                 actual,
             } => write!(
                 f,
-                "{invariant} conservation broken at t={t_us}us: expected {expected}, got {actual}"
+                "{} conservation broken at t={t_us}us: expected {expected}, got {actual}",
+                invariant.as_str()
             ),
         }
     }
@@ -418,7 +419,7 @@ impl SimGuard for RuntimeGuard {
         self.tx_begun = self.tx_ended + medium_active.saturating_sub(1);
         Some(GuardViolation::ConservationBroken {
             t_us: now.as_micros(),
-            invariant: "active_transmissions",
+            invariant: Invariant::ActiveTransmissions,
             expected,
             actual: medium_active,
         })
@@ -436,7 +437,7 @@ impl SimGuard for RuntimeGuard {
         self.summary.conservation += 1;
         Some(GuardViolation::ConservationBroken {
             t_us: end_us,
-            invariant: "airtime_accounting",
+            invariant: Invariant::AirtimeAccounting,
             expected: capacity_us,
             actual: busy_us,
         })
@@ -540,7 +541,7 @@ mod tests {
         assert!(matches!(
             v,
             GuardViolation::ConservationBroken {
-                invariant: "active_transmissions",
+                invariant: Invariant::ActiveTransmissions,
                 expected: 1,
                 actual: 5,
                 ..

@@ -408,7 +408,9 @@ impl Parser<'_> {
             }
         }
         let text = &self.text[start..self.pos];
-        if !fractional {
+        // `-0` stays a float: as an integer it would lose the sign of -0.0.
+        let negative_zero = text.starts_with('-') && text[1..].bytes().all(|b| b == b'0');
+        if !fractional && !negative_zero {
             if let Ok(n) = text.parse::<i64>() {
                 return Ok(Json::Int(n));
             }
@@ -476,6 +478,9 @@ mod tests {
         assert_eq!(number(1.0), "1");
         assert_eq!(parse("1").unwrap().as_f64(), Some(1.0));
         assert_eq!(number(f64::NAN), "null");
+        // -0.0 prints "-0", which must not read back as the integer 0.
+        let zero = parse(&number(-0.0)).unwrap().as_f64().unwrap();
+        assert!(zero == 0.0 && zero.is_sign_negative());
     }
 
     #[test]

@@ -24,15 +24,22 @@
 //! [`EventSink::emit`] and rely on monomorphization to delete the call for
 //! [`NoopSink`].
 //!
+//! # Reading
+//!
+//! [`TraceFile`] reads a JSONL timeline back into typed records with
+//! [`TraceEvent::from_json`], the inverse of [`TraceEvent::write_jsonl`].
+//! Both are generated from the one `trace_events!` table below, which
+//! declares each record kind and its fields.
+//!
 //! See `docs/OBSERVABILITY.md` for the event taxonomy and the JSONL
 //! schema.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::json;
+use crate::json::{self, Json};
 
 /// The JSONL trace schema identifier written in every file header.
 ///
@@ -40,88 +47,427 @@ use crate::json;
 /// readers must check it via [`TraceHeader::parse`].
 pub const TRACE_SCHEMA: &str = "bicord-trace/1";
 
-/// One structured observability record.
-///
-/// All timestamps are virtual microseconds since the start of the run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent {
+/// A value type a [`TraceEvent`] field can hold: how it is written to a
+/// JSONL line and read back from one.
+trait TraceField: Sized {
+    /// Appends the value's JSON text.
+    fn write(&self, out: &mut String);
+    /// Reads the value back, or says what was expected instead.
+    fn read(value: &Json) -> Result<Self, String>;
+}
+
+macro_rules! integer_fields {
+    ($($ty:ty),*) => {$(
+        impl TraceField for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn read(value: &Json) -> Result<Self, String> {
+                let max = <$ty>::MAX;
+                (value.as_u64())
+                    .and_then(|n| <$ty>::try_from(n).ok())
+                    .ok_or_else(|| format!("expected an integer in 0..={max}, found {value}"))
+            }
+        }
+    )*};
+}
+
+integer_fields!(u32, u64);
+
+impl TraceField for f64 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read(value: &Json) -> Result<Self, String> {
+        value
+            .as_f64()
+            .ok_or_else(|| format!("expected a number, found {value}"))
+    }
+}
+
+impl TraceField for bool {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read(value: &Json) -> Result<Self, String> {
+        value
+            .as_bool()
+            .ok_or_else(|| format!("expected true or false, found {value}"))
+    }
+}
+
+/// The trailer's per-label dequeue counts.
+impl TraceField for BTreeMap<String, u64> {
+    fn write(&self, out: &mut String) {
+        out.push('{');
+        for (i, (kind, n)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&json::escape(kind));
+            out.push(':');
+            n.write(out);
+        }
+        out.push('}');
+    }
+
+    fn read(value: &Json) -> Result<Self, String> {
+        let counts = (value.as_object())
+            .ok_or_else(|| format!("expected an object of counts, found {value}"))?;
+        (counts.iter())
+            .map(|(kind, n)| {
+                let n = u64::read(n).map_err(|e| format!("count {}: {e}", json::escape(kind)))?;
+                Ok((kind.clone(), n))
+            })
+            .collect()
+    }
+}
+
+/// [`TraceEvent::Dequeue`]'s event-type label: written, never read,
+/// because [`JsonlSink`] counts dequeues in its trailer instead of
+/// writing them as lines.
+impl TraceField for &'static str {
+    fn write(&self, out: &mut String) {
+        out.push('"');
+        out.push_str(self);
+        out.push('"');
+    }
+
+    fn read(_: &Json) -> Result<Self, String> {
+        Err(
+            "dequeue records are never written as lines; a trace holds them \
+             only as the summary trailer's \"dequeues\" counts"
+                .to_string(),
+        )
+    }
+}
+
+/// Declares the closed label sets that trace records carry as strings.
+macro_rules! trace_labels {
+    ($(
+        $(#[doc = $doc:literal])*
+        $name:ident {
+            $($(#[doc = $value_doc:literal])* $value:ident = $label:literal,)*
+        }
+    )*) => {$(
+        $(#[doc = $doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[doc = $value_doc])* $value,)*
+        }
+
+        impl $name {
+            /// Every value, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$value),*];
+
+            /// The label a trace record carries.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$value => $label,)*
+                }
+            }
+        }
+
+        impl TraceField for $name {
+            fn write(&self, out: &mut String) {
+                out.push('"');
+                out.push_str(self.as_str());
+                out.push('"');
+            }
+
+            fn read(value: &Json) -> Result<Self, String> {
+                let found = value.as_str();
+                $name::ALL
+                    .iter()
+                    .copied()
+                    .find(|v| Some(v.as_str()) == found)
+                    .ok_or_else(|| {
+                        let known: Vec<String> =
+                            $name::ALL.iter().map(|v| json::escape(v.as_str())).collect();
+                        format!("expected one of {}, found {value}", known.join(", "))
+                    })
+            }
+        }
+    )*};
+}
+
+trace_labels! {
+    /// Which phase the white-space allocator is in
+    /// ([`TraceEvent::Estimate`]'s `phase`).
+    AllocationPhase {
+        /// Still discovering the burst length.
+        Learning = "learning",
+        /// One round covers a burst; the estimate is stable.
+        Converged = "converged",
+    }
+
+    /// Why the allocator re-estimated ([`TraceEvent::ReEstimate`]'s
+    /// `reason`).
+    ReEstimateReason {
+        /// A converged estimate outlived its expiry deadline.
+        Expiry = "expiry",
+        /// Confirmed multi-round bursts re-opened learning.
+        Growth = "growth",
+        /// Clean bursts probed the estimate downwards.
+        ShrinkProbe = "shrink-probe",
+    }
+
+    /// A conservation invariant the runtime guard checks
+    /// ([`TraceEvent::GuardConservation`]'s `invariant`).
+    Invariant {
+        /// Transmissions begun minus ended equals the medium slab's count.
+        ActiveTransmissions = "active_transmissions",
+        /// Busy airtime fits in the window's capacity.
+        AirtimeAccounting = "airtime_accounting",
+    }
+}
+
+/// A record's fields, checked against the names its kind declares.
+struct Fields<'a> {
+    kind: &'a str,
+    fields: &'a [(String, Json)],
+}
+
+impl<'a> Fields<'a> {
+    /// Refuses any key outside `names` ([`json::parse`] already refuses
+    /// a key given twice).
+    fn check(kind: &'a str, doc: &'a Json, names: &[&str]) -> Result<Self, String> {
+        let fields = doc.as_object().ok_or("not a JSON object")?;
+        if let Some((name, _)) = fields
+            .iter()
+            .find(|(name, _)| !names.contains(&name.as_str()))
+        {
+            return Err(format!("{kind}: unknown field {}", json::escape(name)));
+        }
+        Ok(Fields { kind, fields })
+    }
+
+    /// Reads one declared field.
+    fn get<T: TraceField>(&self, name: &str) -> Result<T, String> {
+        let kind = self.kind;
+        let (_, value) = (self.fields.iter())
+            .find(|(key, _)| key == name)
+            .ok_or_else(|| format!("{kind}: missing field \"{name}\""))?;
+        T::read(value).map_err(|e| format!("{kind}: field \"{name}\": {e}"))
+    }
+}
+
+/// `Some(value)` for a field named `node`, `None` for any other field.
+macro_rules! node_field {
+    (node, $value:ident) => {
+        Some($value)
+    };
+    ($other:ident, $value:ident) => {{
+        let _ = $value;
+        None
+    }};
+}
+
+/// Declares [`TraceEvent`] from one table: each variant's `ev` label and
+/// its fields in write order, `t_us` first. The record kinds, labels,
+/// timestamps, node attribution, writer and reader all come from it.
+macro_rules! trace_events {
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident = $label:literal {
+            $(#[doc = $t_doc:literal])*
+            t_us: u64,
+            $($(#[doc = $field_doc:literal])* $field:ident: $ty:ty,)*
+        }
+    )*) => {
+        /// One structured observability record.
+        ///
+        /// All timestamps are virtual microseconds since the start of the
+        /// run.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum TraceEvent {
+            $(
+                $(#[doc = $doc])*
+                $variant {
+                    $(#[doc = $t_doc])*
+                    t_us: u64,
+                    $($(#[doc = $field_doc])* $field: $ty,)*
+                },
+            )*
+        }
+
+        impl TraceEvent {
+            /// Every record kind, in taxonomy order (the table in
+            /// `docs/OBSERVABILITY.md`).
+            pub const KINDS: &'static [&'static str] = &[$($label),*];
+
+            /// Stable short name of the record kind (used as the JSONL `ev`
+            /// field and as the counter key in metric registries).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $label,)*
+                }
+            }
+
+            /// The record's virtual timestamp in microseconds.
+            pub fn time_us(&self) -> u64 {
+                match *self {
+                    $(TraceEvent::$variant { t_us, .. } => t_us,)*
+                }
+            }
+
+            /// The node index of a node-attributed record (one with a
+            /// `node` field).
+            pub fn node(&self) -> Option<u32> {
+                match *self {
+                    $(TraceEvent::$variant { $($field,)* .. } => {
+                        None$(.or(node_field!($field, $field)))*
+                    })*
+                }
+            }
+
+            /// Serializes the record as one deterministic JSON line (no
+            /// trailing newline): `t_us`, `ev`, then the fields in
+            /// declaration order. Floats use Rust's shortest round-trip
+            /// formatting.
+            pub fn write_jsonl(&self, out: &mut String) {
+                match self {
+                    $(TraceEvent::$variant { t_us, $($field,)* } => {
+                        out.push_str("{\"t_us\":");
+                        t_us.write(out);
+                        out.push_str(concat!(",\"ev\":\"", $label, "\""));
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.write(out);
+                        )*
+                    })*
+                }
+                out.push('}');
+            }
+
+            /// Reads one record line back: the inverse of
+            /// [`TraceEvent::write_jsonl`]. A missing, mistyped or unknown
+            /// field, an integer out of its field's range, an unknown label
+            /// value or an unknown `ev` kind is an error naming the kind
+            /// and the field. So is a `dequeue` record, which
+            /// [`JsonlSink`] never writes as a line.
+            pub fn from_json(doc: &Json) -> Result<Self, String> {
+                if doc.as_object().is_none() {
+                    return Err("not a JSON object".to_string());
+                }
+                let Some(Json::Str(kind)) = doc.get("ev") else {
+                    return Err("missing string \"ev\"".to_string());
+                };
+                match kind.as_str() {
+                    $($label => {
+                        let fields = Fields::check(
+                            $label,
+                            doc,
+                            &["t_us", "ev", $(stringify!($field)),*],
+                        )?;
+                        Ok(TraceEvent::$variant {
+                            t_us: fields.get("t_us")?,
+                            $($field: fields.get(stringify!($field))?,)*
+                        })
+                    })*
+                    other => Err(format!(
+                        "unknown record kind {}: not in TraceEvent::KINDS (a trace \
+                         from another schema revision?)",
+                        json::escape(other)
+                    )),
+                }
+            }
+
+            /// One record of each kind, in [`TraceEvent::KINDS`] order,
+            /// with every field drawn from `bits`.
+            #[cfg(test)]
+            fn arbitrary_each(bits: &mut impl Iterator<Item = u64>) -> Vec<TraceEvent> {
+                let mut draw = || bits.next().unwrap_or(0);
+                vec![$(TraceEvent::$variant {
+                    t_us: draw(),
+                    $($field: tests::Arbitrary::arbitrary(draw()),)*
+                }),*]
+            }
+        }
+    };
+}
+
+trace_events! {
     /// The engine dispatched one DES event (`kind` is the scenario's
     /// event-type label). High volume: sinks typically aggregate these.
-    Dequeue {
+    Dequeue = "dequeue" {
         /// Dispatch time.
         t_us: u64,
         /// Event-type label.
         kind: &'static str,
-    },
+    }
     /// The CSI detector classified one sample against its threshold.
-    CsiClassified {
+    CsiClassified = "csi_classified" {
         /// Sample time.
         t_us: u64,
         /// Amplitude deviation of the sample.
         deviation: f64,
         /// `true` = high fluctuation (contributes to the continuity rule).
         high: bool,
-    },
+    }
     /// The continuity rule fired: the Wi-Fi side believes a ZigBee node
     /// requested the channel.
-    Detection {
+    Detection = "detection" {
         /// When the rule fired.
         t_us: u64,
         /// Earliest contributing high-fluctuation sample.
         window_start_us: u64,
         /// High samples in the window at firing time.
         highs: u32,
-    },
+    }
     /// A ZigBee node handed a signaling control packet to its MAC.
-    ChannelRequest {
+    ChannelRequest = "channel_request" {
         /// Hand-off time.
         t_us: u64,
         /// Node index (0 = primary).
         node: u32,
-    },
+    }
     /// The coordinator granted a white space (a CTS-to-self follows).
-    Reservation {
+    Reservation = "reservation" {
         /// Grant time.
         t_us: u64,
         /// White-space length in microseconds.
         ws_us: u64,
-    },
+    }
     /// A CTS-to-self finished on air; its NAV opens a white space.
-    WhiteSpace {
+    WhiteSpace = "white_space" {
         /// CTS end time (= white-space start).
         t_us: u64,
         /// NAV duration in microseconds.
         nav_us: u64,
-    },
+    }
     /// The allocator counted one more signaling round for the current
     /// burst (`N_round` in Sec. VI).
-    NRound {
+    NRound = "n_round" {
         /// Request time.
         t_us: u64,
         /// Rounds granted to the burst so far.
         rounds: u32,
-    },
+    }
     /// The allocator updated its burst-length estimate (`T_estimation`).
-    Estimate {
+    Estimate = "estimate" {
         /// Burst-end time at which the estimator ran.
         t_us: u64,
         /// New estimate in microseconds.
         estimate_us: u64,
         /// Rounds the finished burst took.
         rounds: u32,
-        /// `"learning"` or `"converged"` after the update.
-        phase: &'static str,
-    },
+        /// The allocator's phase after the update.
+        phase: AllocationPhase,
+    }
     /// The allocator fell back to the learning phase (or probed the
     /// estimate downwards).
-    ReEstimate {
+    ReEstimate = "re_estimate" {
         /// Trigger time.
         t_us: u64,
-        /// `"expiry"`, `"growth"`, or `"shrink-probe"`.
-        reason: &'static str,
-    },
+        /// What triggered it.
+        reason: ReEstimateReason,
+    }
     /// A ZigBee node finished one application burst.
-    BurstComplete {
+    BurstComplete = "burst_complete" {
         /// Completion time.
         t_us: u64,
         /// Node index.
@@ -130,38 +476,38 @@ pub enum TraceEvent {
         delivered: u32,
         /// Packets abandoned.
         failed: u32,
-    },
+    }
     /// One ZigBee data packet was acknowledged end-to-end.
-    PacketDelivered {
+    PacketDelivered = "packet_delivered" {
         /// Delivery time.
         t_us: u64,
         /// Node index.
         node: u32,
         /// Application sequence number.
         seq: u32,
-    },
+    }
     /// A Table I/II signaling trial resolved.
-    TrialResolved {
+    TrialResolved = "trial_resolved" {
         /// Resolution time.
         t_us: u64,
         /// 1-based trial index.
         index: u32,
         /// Whether the detector caught the trial.
         detected: bool,
-    },
+    }
     /// A device move invalidated part of the medium's link-budget cache
     /// (emitted per mobility step; absent in static scenarios).
-    MediumCacheInvalidated {
+    MediumCacheInvalidated = "medium_cache_invalidated" {
         /// Invalidation time.
         t_us: u64,
         /// Raw id of the device that moved.
         device: u32,
         /// Shadowing realisations discarded with the cached budgets.
         dropped: u32,
-    },
+    }
     /// End-of-run snapshot of the medium's cache effectiveness (emitted
     /// by mobility runs, where invalidation pressure is the question).
-    MediumCacheStats {
+    MediumCacheStats = "medium_cache_stats" {
         /// Snapshot time (the end of the run).
         t_us: u64,
         /// Link-budget cache hits.
@@ -172,11 +518,11 @@ pub enum TraceEvent {
         band_hits: u64,
         /// Band-overlap memo misses.
         band_misses: u64,
-    },
+    }
     /// End-of-run snapshot of the spatial culling grid's effectiveness
     /// (emitted alongside [`TraceEvent::MediumCacheStats`] by mobility
     /// runs; absent in static scenarios).
-    MediumGridStats {
+    MediumGridStats = "medium_grid_stats" {
         /// Snapshot time (the end of the run).
         t_us: u64,
         /// Grid-accelerated medium queries answered.
@@ -191,345 +537,99 @@ pub enum TraceEvent {
         /// Candidates gathered but rejected by the exact hearing-radius
         /// check (cell-resolution false positives).
         out_of_range: u64,
-    },
+    }
     /// Fault injection suppressed a control packet's CSI signature: the
     /// classifier never sees the continuity samples it should have
     /// produced (absent in fault-free runs).
-    FaultControlLost {
+    FaultControlLost = "fault_control_lost" {
         /// Suppression time (the control packet's hand-off to the MAC).
         t_us: u64,
         /// Signaling node index.
         node: u32,
-    },
+    }
     /// Fault injection lost a CTS-to-self before it reached contending
     /// stations: the "reserved" white space still sees Wi-Fi contention.
-    FaultCtsLost {
+    FaultCtsLost = "fault_cts_lost" {
         /// CTS end time (= the unprotected white-space start).
         t_us: u64,
         /// NAV duration the contenders failed to honour, in microseconds.
         nav_us: u64,
-    },
+    }
     /// Fault injection fabricated a ZigBee-like CSI disturbance on a
     /// quiet sample (a phantom channel request).
-    FaultPhantomCsi {
+    FaultPhantomCsi = "fault_phantom_csi" {
         /// Sample time.
         t_us: u64,
-    },
+    }
     /// Fault-driven device churn moved a device and invalidated its
     /// cached link budgets.
-    FaultChurn {
+    FaultChurn = "fault_churn" {
         /// Churn-step time.
         t_us: u64,
         /// Raw id of the device that moved.
         device: u32,
         /// Shadowing realisations discarded with the cached budgets.
         dropped: u32,
-    },
+    }
     /// A client exhausted one signaling round's control budget without an
     /// answer and backed off before re-signaling.
-    SignalingBackoff {
+    SignalingBackoff = "signaling_backoff" {
         /// Back-off decision time.
         t_us: u64,
         /// Node index.
         node: u32,
         /// Consecutive unanswered rounds so far (including this one).
         failures: u32,
-    },
+    }
     /// A client gave up on signaling after `k` consecutive unanswered
     /// rounds and fell back to plain CSMA for the rest of the burst.
-    CsmaFallback {
+    CsmaFallback = "csma_fallback" {
         /// Fallback time.
         t_us: u64,
         /// Node index.
         node: u32,
         /// Consecutive unanswered rounds that triggered the fallback.
         failures: u32,
-    },
+    }
     /// The allocator detected inconsistent `N_round` accounting, aborted
     /// the white-space schedule and re-entered the learning phase.
-    LearningAbort {
+    LearningAbort = "learning_abort" {
         /// Abort time.
         t_us: u64,
         /// Rounds the suspicious burst had accumulated.
         rounds: u32,
-    },
+    }
     /// The runtime guard detected a livelock: the run dequeued `dequeues`
     /// consecutive events without simulated time advancing. Fatal — the
     /// run aborts right after emitting this record.
-    GuardStall {
+    GuardStall = "guard_stall" {
         /// Virtual time the clock is stuck at.
         t_us: u64,
         /// Consecutive same-instant dequeues observed.
         dequeues: u64,
-    },
+    }
     /// The runtime guard found a burst that exceeded its liveness bound
     /// without completing or aborting (reported once per burst).
-    GuardLiveness {
+    GuardLiveness = "guard_liveness" {
         /// Time of the check.
         t_us: u64,
         /// Node whose burst is overdue.
         node: u32,
         /// When the overdue burst started.
         started_us: u64,
-    },
+    }
     /// The runtime guard found a conservation invariant out of balance
     /// (transmission accounting vs. the medium slab, or airtime vs.
     /// window capacity).
-    GuardConservation {
+    GuardConservation = "guard_conservation" {
         /// Time of the check.
         t_us: u64,
-        /// Which invariant broke (`"active_transmissions"`,
-        /// `"airtime_accounting"`).
-        invariant: &'static str,
+        /// Which invariant broke.
+        invariant: Invariant,
         /// The value the invariant predicts.
         expected: u64,
         /// The value actually observed.
         actual: u64,
-    },
-}
-
-impl TraceEvent {
-    /// Every record kind, in taxonomy order (the table in
-    /// `docs/OBSERVABILITY.md`): the one list trace readers check `ev`
-    /// labels against. `every_kind_serializes_with_its_kind_label` fails
-    /// if it and [`TraceEvent::kind`] diverge.
-    pub const KINDS: &'static [&'static str] = &[
-        "dequeue",
-        "csi_classified",
-        "detection",
-        "channel_request",
-        "reservation",
-        "white_space",
-        "n_round",
-        "estimate",
-        "re_estimate",
-        "burst_complete",
-        "packet_delivered",
-        "trial_resolved",
-        "medium_cache_invalidated",
-        "medium_cache_stats",
-        "medium_grid_stats",
-        "fault_control_lost",
-        "fault_cts_lost",
-        "fault_phantom_csi",
-        "fault_churn",
-        "signaling_backoff",
-        "csma_fallback",
-        "learning_abort",
-        "guard_stall",
-        "guard_liveness",
-        "guard_conservation",
-    ];
-
-    /// Stable short name of the record kind (used as the JSONL `ev` field
-    /// and as the counter key in metric registries).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Dequeue { .. } => "dequeue",
-            TraceEvent::CsiClassified { .. } => "csi_classified",
-            TraceEvent::Detection { .. } => "detection",
-            TraceEvent::ChannelRequest { .. } => "channel_request",
-            TraceEvent::Reservation { .. } => "reservation",
-            TraceEvent::WhiteSpace { .. } => "white_space",
-            TraceEvent::NRound { .. } => "n_round",
-            TraceEvent::Estimate { .. } => "estimate",
-            TraceEvent::ReEstimate { .. } => "re_estimate",
-            TraceEvent::BurstComplete { .. } => "burst_complete",
-            TraceEvent::PacketDelivered { .. } => "packet_delivered",
-            TraceEvent::TrialResolved { .. } => "trial_resolved",
-            TraceEvent::MediumCacheInvalidated { .. } => "medium_cache_invalidated",
-            TraceEvent::MediumCacheStats { .. } => "medium_cache_stats",
-            TraceEvent::MediumGridStats { .. } => "medium_grid_stats",
-            TraceEvent::FaultControlLost { .. } => "fault_control_lost",
-            TraceEvent::FaultCtsLost { .. } => "fault_cts_lost",
-            TraceEvent::FaultPhantomCsi { .. } => "fault_phantom_csi",
-            TraceEvent::FaultChurn { .. } => "fault_churn",
-            TraceEvent::SignalingBackoff { .. } => "signaling_backoff",
-            TraceEvent::CsmaFallback { .. } => "csma_fallback",
-            TraceEvent::LearningAbort { .. } => "learning_abort",
-            TraceEvent::GuardStall { .. } => "guard_stall",
-            TraceEvent::GuardLiveness { .. } => "guard_liveness",
-            TraceEvent::GuardConservation { .. } => "guard_conservation",
-        }
-    }
-
-    /// The record's virtual timestamp in microseconds.
-    pub fn time_us(&self) -> u64 {
-        match *self {
-            TraceEvent::Dequeue { t_us, .. }
-            | TraceEvent::CsiClassified { t_us, .. }
-            | TraceEvent::Detection { t_us, .. }
-            | TraceEvent::ChannelRequest { t_us, .. }
-            | TraceEvent::Reservation { t_us, .. }
-            | TraceEvent::WhiteSpace { t_us, .. }
-            | TraceEvent::NRound { t_us, .. }
-            | TraceEvent::Estimate { t_us, .. }
-            | TraceEvent::ReEstimate { t_us, .. }
-            | TraceEvent::BurstComplete { t_us, .. }
-            | TraceEvent::PacketDelivered { t_us, .. }
-            | TraceEvent::TrialResolved { t_us, .. }
-            | TraceEvent::MediumCacheInvalidated { t_us, .. }
-            | TraceEvent::MediumCacheStats { t_us, .. }
-            | TraceEvent::MediumGridStats { t_us, .. }
-            | TraceEvent::FaultControlLost { t_us, .. }
-            | TraceEvent::FaultCtsLost { t_us, .. }
-            | TraceEvent::FaultPhantomCsi { t_us }
-            | TraceEvent::FaultChurn { t_us, .. }
-            | TraceEvent::SignalingBackoff { t_us, .. }
-            | TraceEvent::CsmaFallback { t_us, .. }
-            | TraceEvent::LearningAbort { t_us, .. }
-            | TraceEvent::GuardStall { t_us, .. }
-            | TraceEvent::GuardLiveness { t_us, .. }
-            | TraceEvent::GuardConservation { t_us, .. } => t_us,
-        }
-    }
-
-    /// Serializes the record as one deterministic JSON line (no trailing
-    /// newline). Field order is fixed; floats use Rust's shortest
-    /// round-trip formatting.
-    pub fn write_jsonl(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"t_us\":{},\"ev\":\"{}\"",
-            self.time_us(),
-            self.kind()
-        );
-        match *self {
-            TraceEvent::Dequeue { kind, .. } => {
-                let _ = write!(out, ",\"kind\":\"{kind}\"");
-            }
-            TraceEvent::CsiClassified {
-                deviation, high, ..
-            } => {
-                let _ = write!(out, ",\"deviation\":{deviation},\"high\":{high}");
-            }
-            TraceEvent::Detection {
-                window_start_us,
-                highs,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"window_start_us\":{window_start_us},\"highs\":{highs}"
-                );
-            }
-            TraceEvent::ChannelRequest { node, .. } => {
-                let _ = write!(out, ",\"node\":{node}");
-            }
-            TraceEvent::Reservation { ws_us, .. } => {
-                let _ = write!(out, ",\"ws_us\":{ws_us}");
-            }
-            TraceEvent::WhiteSpace { nav_us, .. } => {
-                let _ = write!(out, ",\"nav_us\":{nav_us}");
-            }
-            TraceEvent::NRound { rounds, .. } => {
-                let _ = write!(out, ",\"rounds\":{rounds}");
-            }
-            TraceEvent::Estimate {
-                estimate_us,
-                rounds,
-                phase,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"estimate_us\":{estimate_us},\"rounds\":{rounds},\"phase\":\"{phase}\""
-                );
-            }
-            TraceEvent::ReEstimate { reason, .. } => {
-                let _ = write!(out, ",\"reason\":\"{reason}\"");
-            }
-            TraceEvent::BurstComplete {
-                node,
-                delivered,
-                failed,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"node\":{node},\"delivered\":{delivered},\"failed\":{failed}"
-                );
-            }
-            TraceEvent::PacketDelivered { node, seq, .. } => {
-                let _ = write!(out, ",\"node\":{node},\"seq\":{seq}");
-            }
-            TraceEvent::TrialResolved {
-                index, detected, ..
-            } => {
-                let _ = write!(out, ",\"index\":{index},\"detected\":{detected}");
-            }
-            TraceEvent::MediumCacheInvalidated {
-                device, dropped, ..
-            } => {
-                let _ = write!(out, ",\"device\":{device},\"dropped\":{dropped}");
-            }
-            TraceEvent::MediumCacheStats {
-                link_hits,
-                link_misses,
-                band_hits,
-                band_misses,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"link_hits\":{link_hits},\"link_misses\":{link_misses},\
-                     \"band_hits\":{band_hits},\"band_misses\":{band_misses}"
-                );
-            }
-            TraceEvent::MediumGridStats {
-                queries,
-                cells,
-                visited,
-                culled,
-                out_of_range,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"queries\":{queries},\"cells\":{cells},\"visited\":{visited},\
-                     \"culled\":{culled},\"out_of_range\":{out_of_range}"
-                );
-            }
-            TraceEvent::FaultControlLost { node, .. } => {
-                let _ = write!(out, ",\"node\":{node}");
-            }
-            TraceEvent::FaultCtsLost { nav_us, .. } => {
-                let _ = write!(out, ",\"nav_us\":{nav_us}");
-            }
-            TraceEvent::FaultPhantomCsi { .. } => {}
-            TraceEvent::FaultChurn {
-                device, dropped, ..
-            } => {
-                let _ = write!(out, ",\"device\":{device},\"dropped\":{dropped}");
-            }
-            TraceEvent::SignalingBackoff { node, failures, .. }
-            | TraceEvent::CsmaFallback { node, failures, .. } => {
-                let _ = write!(out, ",\"node\":{node},\"failures\":{failures}");
-            }
-            TraceEvent::LearningAbort { rounds, .. } => {
-                let _ = write!(out, ",\"rounds\":{rounds}");
-            }
-            TraceEvent::GuardStall { dequeues, .. } => {
-                let _ = write!(out, ",\"dequeues\":{dequeues}");
-            }
-            TraceEvent::GuardLiveness {
-                node, started_us, ..
-            } => {
-                let _ = write!(out, ",\"node\":{node},\"started_us\":{started_us}");
-            }
-            TraceEvent::GuardConservation {
-                invariant,
-                expected,
-                actual,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"invariant\":\"{invariant}\",\"expected\":{expected},\"actual\":{actual}"
-                );
-            }
-        }
-        out.push('}');
     }
 }
 
@@ -689,11 +789,10 @@ impl TraceHeader {
 /// Writes a deterministic, schema-versioned JSONL timeline of one run.
 ///
 /// Line 1 is the [`TraceHeader`]; every further line is one
-/// [`TraceEvent`]. [`TraceEvent::Dequeue`] records are high-volume, so by
-/// default they are *aggregated* into per-kind counts reported in the
-/// summary trailer instead of being written individually; enable
-/// [`JsonlSink::include_dequeues`] for the full stream. The final line is
-/// a summary object (`{"summary":true,...}`).
+/// [`TraceEvent`], except [`TraceEvent::Dequeue`]: dequeues are
+/// high-volume, so they are counted per event-type label instead and
+/// the counts reported in the final line, the [`TraceSummary`] trailer
+/// (`{"summary":true,...}`). [`TraceFile`] reads the file back.
 ///
 /// Output depends only on the emitted records, which for a seeded run
 /// depend only on the configuration — never on wall clock, thread count,
@@ -703,7 +802,6 @@ pub struct JsonlSink {
     path: PathBuf,
     out: io::BufWriter<std::fs::File>,
     line: String,
-    include_dequeues: bool,
     events_written: u64,
     dequeue_counts: BTreeMap<&'static str, u64>,
     error: Option<io::Error>,
@@ -721,18 +819,10 @@ impl JsonlSink {
             path,
             out,
             line: String::with_capacity(128),
-            include_dequeues: false,
             events_written: 0,
             dequeue_counts: BTreeMap::new(),
             error: None,
         })
-    }
-
-    /// Also writes every individual [`TraceEvent::Dequeue`] record
-    /// (large files; off by default).
-    pub fn include_dequeues(mut self, yes: bool) -> Self {
-        self.include_dequeues = yes;
-        self
     }
 
     /// The file being written.
@@ -751,17 +841,13 @@ impl JsonlSink {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        let mut trailer = String::from("{\"summary\":true");
-        let _ = write!(trailer, ",\"events\":{}", self.events_written);
-        trailer.push_str(",\"dequeues\":{");
-        for (i, (kind, n)) in self.dequeue_counts.iter().enumerate() {
-            if i > 0 {
-                trailer.push(',');
-            }
-            let _ = write!(trailer, "\"{kind}\":{n}");
-        }
-        trailer.push_str("}}");
-        self.out.write_all(trailer.as_bytes())?;
+        let summary = TraceSummary {
+            events: self.events_written,
+            dequeues: (self.dequeue_counts.iter())
+                .map(|(kind, n)| (kind.to_string(), *n))
+                .collect(),
+        };
+        self.out.write_all(summary.to_json().as_bytes())?;
         self.out.write_all(b"\n")?;
         self.out.flush()?;
         Ok(self.events_written)
@@ -775,9 +861,7 @@ impl EventSink for JsonlSink {
         }
         if let TraceEvent::Dequeue { kind, .. } = event {
             *self.dequeue_counts.entry(kind).or_insert(0) += 1;
-            if !self.include_dequeues {
-                return;
-            }
+            return;
         }
         self.line.clear();
         event.write_jsonl(&mut self.line);
@@ -790,9 +874,194 @@ impl EventSink for JsonlSink {
     }
 }
 
+/// The `{"summary":true,...}` trailer that ends a finished trace.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TraceSummary {
+    /// Records the sink wrote (excludes header and trailer).
+    pub events: u64,
+    /// Dispatched DES events per event-type label.
+    pub dequeues: BTreeMap<String, u64>,
+}
+
+impl TraceSummary {
+    /// Serializes the trailer as one JSON line (no trailing newline).
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\"summary\":true,\"events\":");
+        self.events.write(&mut out);
+        out.push_str(",\"dequeues\":");
+        self.dequeues.write(&mut out);
+        out.push('}');
+        out
+    }
+
+    /// Reads a trailer written by [`TraceSummary::to_json`]; every field
+    /// is required and no other is allowed.
+    pub fn from_json(doc: &Json) -> Result<Self, String> {
+        let fields = Fields::check("summary", doc, &["summary", "events", "dequeues"])?;
+        if !fields.get::<bool>("summary")? {
+            return Err("summary: field \"summary\" is not true".to_string());
+        }
+        Ok(TraceSummary {
+            events: fields.get("events")?,
+            dequeues: fields.get("dequeues")?,
+        })
+    }
+}
+
+/// A fully parsed `bicord-trace/1` file: the header, every record as a
+/// typed [`TraceEvent`], and the trailer.
+#[derive(Debug, Clone)]
+pub struct TraceFile {
+    /// The schema-versioned header line.
+    pub header: TraceHeader,
+    /// All records, in file (= virtual time) order.
+    pub records: Vec<TraceEvent>,
+    /// The summary trailer, if the run finished cleanly.
+    pub summary: Option<TraceSummary>,
+}
+
+/// Why a trace file failed to parse.
+#[derive(Debug)]
+pub enum TraceError {
+    /// The file could not be read.
+    Io(io::Error),
+    /// Line 1 is not a `bicord-trace/1` header.
+    BadHeader,
+    /// A record or trailer line does not read back as one.
+    BadRecord {
+        /// 1-based line number.
+        line: usize,
+        /// What went wrong, naming the kind and field.
+        reason: String,
+    },
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceError::Io(e) => write!(f, "cannot read trace: {e}"),
+            TraceError::BadHeader => write!(
+                f,
+                "line 1 is not a {TRACE_SCHEMA} header (is this a JSONL trace written by \
+                 `bicord --trace` / a bench `--trace`?)"
+            ),
+            TraceError::BadRecord { line, reason } => {
+                write!(f, "line {line}: malformed trace record: {reason}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
+impl From<io::Error> for TraceError {
+    fn from(e: io::Error) -> Self {
+        TraceError::Io(e)
+    }
+}
+
+impl TraceFile {
+    /// Reads and parses a trace file from disk.
+    pub fn read(path: impl AsRef<Path>) -> Result<Self, TraceError> {
+        Self::parse(&std::fs::read_to_string(path)?)
+    }
+
+    /// Parses the full text of a trace file. Blank lines are skipped;
+    /// any other line that is not a record, or that follows the trailer,
+    /// is an error.
+    pub fn parse(text: &str) -> Result<Self, TraceError> {
+        let mut lines = text.lines().enumerate();
+        let header = (lines.next())
+            .and_then(|(_, line)| TraceHeader::parse(line))
+            .ok_or(TraceError::BadHeader)?;
+        let mut records = Vec::new();
+        let mut summary = None;
+        for (idx, line) in lines {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            let parsed = json::parse(line).and_then(|doc| {
+                if summary.is_some() {
+                    return Err("a line after the summary trailer".to_string());
+                }
+                if doc.get("summary").is_some() {
+                    summary = Some(TraceSummary::from_json(&doc)?);
+                } else {
+                    records.push(TraceEvent::from_json(&doc)?);
+                }
+                Ok(())
+            });
+            parsed.map_err(|reason| TraceError::BadRecord {
+                line: idx + 1,
+                reason,
+            })?;
+        }
+        Ok(TraceFile {
+            header,
+            records,
+            summary,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A field value for property tests, derived from arbitrary bits.
+    pub(super) trait Arbitrary {
+        fn arbitrary(bits: u64) -> Self;
+    }
+
+    impl Arbitrary for u32 {
+        fn arbitrary(bits: u64) -> Self {
+            bits as u32
+        }
+    }
+
+    impl Arbitrary for u64 {
+        fn arbitrary(bits: u64) -> Self {
+            bits
+        }
+    }
+
+    /// Any finite float: every bit pattern but the NaNs and infinities.
+    impl Arbitrary for f64 {
+        fn arbitrary(bits: u64) -> Self {
+            let x = f64::from_bits(bits);
+            if x.is_finite() {
+                x
+            } else {
+                bits as f64
+            }
+        }
+    }
+
+    impl Arbitrary for bool {
+        fn arbitrary(bits: u64) -> Self {
+            bits & 1 == 1
+        }
+    }
+
+    impl Arbitrary for &'static str {
+        fn arbitrary(_: u64) -> Self {
+            "timer"
+        }
+    }
+
+    macro_rules! arbitrary_labels {
+        ($($name:ident),*) => {$(
+            impl Arbitrary for $name {
+                fn arbitrary(bits: u64) -> Self {
+                    $name::ALL[bits as usize % $name::ALL.len()]
+                }
+            }
+        )*};
+    }
+
+    arbitrary_labels!(AllocationPhase, ReEstimateReason, Invariant);
 
     #[test]
     fn noop_sink_is_zero_sized_and_disabled() {
@@ -846,7 +1115,7 @@ mod tests {
             t_us: 1_500,
             estimate_us: 42_000,
             rounds: 3,
-            phase: "learning",
+            phase: AllocationPhase::Learning,
         }
         .write_jsonl(&mut line);
         assert_eq!(
@@ -868,6 +1137,33 @@ mod tests {
     }
 
     #[test]
+    fn labels_keep_their_trace_strings() {
+        let phases: Vec<&str> = AllocationPhase::ALL.iter().map(|v| v.as_str()).collect();
+        assert_eq!(phases, ["learning", "converged"]);
+        let reasons: Vec<&str> = ReEstimateReason::ALL.iter().map(|v| v.as_str()).collect();
+        assert_eq!(reasons, ["expiry", "growth", "shrink-probe"]);
+        let invariants: Vec<&str> = Invariant::ALL.iter().map(|v| v.as_str()).collect();
+        assert_eq!(invariants, ["active_transmissions", "airtime_accounting"]);
+    }
+
+    #[test]
+    fn node_is_the_node_field() {
+        let delivered = TraceEvent::PacketDelivered {
+            t_us: 1,
+            node: 4,
+            seq: 9,
+        };
+        assert_eq!(delivered.node(), Some(4));
+        let churn = TraceEvent::FaultChurn {
+            t_us: 1,
+            device: 4,
+            dropped: 9,
+        };
+        assert_eq!(churn.node(), None);
+        assert_eq!(TraceEvent::FaultPhantomCsi { t_us: 1 }.node(), None);
+    }
+
+    #[test]
     fn header_round_trips() {
         let h = TraceHeader::new(42, "bicord", 10_000_000);
         let parsed = TraceHeader::parse(&h.to_json()).expect("own output parses");
@@ -883,7 +1179,9 @@ mod tests {
             "{\"schema\":\"bicord-trace/1\",\"seed\":18446744073709551615,\
              \"mode\":\"a\\\"quoted\\\\mode\",\"duration_us\":1}"
         );
-        assert_eq!(TraceHeader::parse(&line), Some(h));
+        assert_eq!(TraceHeader::parse(&line), Some(h.clone()));
+        let file = TraceFile::parse(&format!("{line}\n")).unwrap();
+        assert_eq!(file.header, h);
     }
 
     #[test]
@@ -891,6 +1189,9 @@ mod tests {
         let line = "{\"schema\":\"bicord-trace/999\",\"seed\":1,\"mode\":\"x\",\"duration_us\":5}";
         assert!(TraceHeader::parse(line).is_none());
         assert!(TraceHeader::parse("not json").is_none());
+        for text in ["not json\n", line] {
+            assert!(matches!(TraceFile::parse(text), Err(TraceError::BadHeader)));
+        }
     }
 
     #[test]
@@ -900,156 +1201,159 @@ mod tests {
         let path = dir.join("t.jsonl");
         let header = TraceHeader::new(7, "bicord", 1_000_000);
         let mut sink = JsonlSink::create(&path, &header).unwrap();
-        sink.emit(&TraceEvent::Dequeue {
-            t_us: 1,
-            kind: "Timer",
-        });
-        sink.emit(&TraceEvent::Dequeue {
-            t_us: 2,
-            kind: "Timer",
-        });
-        sink.emit(&TraceEvent::Reservation {
+        for (t_us, kind) in [(1, "timer"), (2, "timer"), (3, "tx_end")] {
+            sink.emit(&TraceEvent::Dequeue { t_us, kind });
+        }
+        let reservation = TraceEvent::Reservation {
             t_us: 3,
             ws_us: 30_000,
-        });
-        let n = sink.finish().unwrap();
-        assert_eq!(n, 1, "dequeues aggregate by default");
+        };
+        sink.emit(&reservation);
+        assert_eq!(sink.finish().unwrap(), 1, "dequeues are only counted");
         let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(TraceHeader::parse(lines[0]).is_some());
-        assert!(lines[1].contains("\"ev\":\"reservation\""));
-        assert!(lines[2].contains("\"summary\":true"));
-        assert!(lines[2].contains("\"Timer\":2"));
+        assert_eq!(
+            text.lines().last(),
+            Some("{\"summary\":true,\"events\":1,\"dequeues\":{\"timer\":2,\"tx_end\":1}}")
+        );
+        let file = TraceFile::read(&path).unwrap();
+        assert_eq!(file.header, header);
+        assert_eq!(file.records, [reservation]);
+        let summary = file.summary.expect("trailer");
+        assert_eq!(summary.events, 1);
+        let dequeues: Vec<(&str, u64)> = (summary.dequeues.iter())
+            .map(|(kind, n)| (kind.as_str(), *n))
+            .collect();
+        assert_eq!(dequeues, [("timer", 2), ("tx_end", 1)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn jsonl_sink_can_include_dequeues() {
-        let dir = std::env::temp_dir().join(format!("bicord-obs-test2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.jsonl");
-        let mut sink = JsonlSink::create(&path, &TraceHeader::new(1, "x", 1))
-            .unwrap()
-            .include_dequeues(true);
-        sink.emit(&TraceEvent::Dequeue {
-            t_us: 1,
-            kind: "Timer",
-        });
-        assert_eq!(sink.finish().unwrap(), 1);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"ev\":\"dequeue\""));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn every_kind_serializes_with_its_kind_label() {
-        let events = [
-            TraceEvent::Dequeue { t_us: 0, kind: "k" },
-            TraceEvent::CsiClassified {
-                t_us: 0,
-                deviation: 0.5,
-                high: true,
-            },
-            TraceEvent::Detection {
-                t_us: 0,
-                window_start_us: 0,
-                highs: 2,
-            },
-            TraceEvent::ChannelRequest { t_us: 0, node: 0 },
-            TraceEvent::Reservation { t_us: 0, ws_us: 1 },
-            TraceEvent::WhiteSpace { t_us: 0, nav_us: 1 },
-            TraceEvent::NRound { t_us: 0, rounds: 1 },
-            TraceEvent::Estimate {
-                t_us: 0,
-                estimate_us: 1,
-                rounds: 1,
-                phase: "learning",
-            },
-            TraceEvent::ReEstimate {
-                t_us: 0,
-                reason: "expiry",
-            },
-            TraceEvent::BurstComplete {
-                t_us: 0,
-                node: 0,
-                delivered: 1,
-                failed: 0,
-            },
-            TraceEvent::PacketDelivered {
-                t_us: 0,
-                node: 0,
-                seq: 9,
-            },
-            TraceEvent::TrialResolved {
-                t_us: 0,
-                index: 1,
-                detected: true,
-            },
-            TraceEvent::MediumCacheInvalidated {
-                t_us: 0,
-                device: 2,
-                dropped: 3,
-            },
-            TraceEvent::MediumCacheStats {
-                t_us: 0,
-                link_hits: 4,
-                link_misses: 1,
-                band_hits: 9,
-                band_misses: 2,
-            },
-            TraceEvent::MediumGridStats {
-                t_us: 0,
-                queries: 7,
-                cells: 21,
-                visited: 12,
-                culled: 30,
-                out_of_range: 2,
-            },
-            TraceEvent::FaultControlLost { t_us: 0, node: 1 },
-            TraceEvent::FaultCtsLost { t_us: 0, nav_us: 5 },
-            TraceEvent::FaultPhantomCsi { t_us: 0 },
-            TraceEvent::FaultChurn {
-                t_us: 0,
-                device: 2,
-                dropped: 1,
-            },
-            TraceEvent::SignalingBackoff {
-                t_us: 0,
-                node: 0,
-                failures: 1,
-            },
-            TraceEvent::CsmaFallback {
-                t_us: 0,
-                node: 0,
-                failures: 3,
-            },
-            TraceEvent::LearningAbort {
-                t_us: 0,
-                rounds: 40,
-            },
-            TraceEvent::GuardStall {
-                t_us: 0,
-                dequeues: 1_000_000,
-            },
-            TraceEvent::GuardLiveness {
-                t_us: 0,
-                node: 2,
-                started_us: 0,
-            },
-            TraceEvent::GuardConservation {
-                t_us: 0,
-                invariant: "active_transmissions",
-                expected: 1,
-                actual: 2,
-            },
-        ];
-        for e in &events {
-            let mut line = String::new();
-            e.write_jsonl(&mut line);
-            assert!(line.contains(&format!("\"ev\":\"{}\"", e.kind())), "{line}");
+    /// Parses `line` as line 2 of a trace and returns the error text.
+    fn record_error(line: &str) -> String {
+        let header = TraceHeader::new(1, "x", 1).to_json();
+        match TraceFile::parse(&format!("{header}\n{line}\n")) {
+            Ok(file) => panic!("{line} parsed as {:?}", file.records),
+            Err(e) => e.to_string(),
         }
-        let kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
-        assert_eq!(kinds, TraceEvent::KINDS, "TraceEvent::KINDS drifted");
+    }
+
+    #[test]
+    fn malformed_records_are_errors_naming_the_line_and_field() {
+        for (line, needles) in [
+            ("{\"t_us\":5,\"ev\":\"reservation\"", &["json parse error"][..]),
+            ("[1,2]", &["not a JSON object"]),
+            ("{\"ev\":\"reservation\",\"ws_us\":1}", &["missing field \"t_us\""]),
+            ("{\"t_us\":-5,\"ev\":\"reservation\",\"ws_us\":1}", &["\"t_us\""]),
+            ("{\"t_us\":5,\"ev\":7}", &["\"ev\""]),
+            ("{\"t_us\":5,\"ev\":\"warp_drive\",\"x\":1}", &["\"warp_drive\"", "TraceEvent::KINDS"]),
+            ("{\"t_us\":1000,\"ev\":\"white_space\"}", &["white_space", "missing field \"nav_us\""]),
+            (
+                "{\"t_us\":1,\"ev\":\"estimate\",\"estimate_us\":1,\"rounds\":\"x\",\"phase\":\"learning\"}",
+                &["estimate", "field \"rounds\"", "found \"x\""],
+            ),
+            (
+                "{\"t_us\":1,\"ev\":\"white_space\",\"nav_us\":1,\"extra\":0}",
+                &["white_space", "unknown field \"extra\""],
+            ),
+            (
+                "{\"t_us\":1,\"ev\":\"white_space\",\"nav_us\":1,\"nav_us\":2}",
+                &["duplicate object key \"nav_us\""],
+            ),
+            ("{\"t_us\":1,\"ev\":\"n_round\",\"rounds\":4294967296}", &["n_round", "field \"rounds\"", "4294967296"]),
+            ("{\"t_us\":1,\"ev\":\"n_round\",\"rounds\":1.5}", &["field \"rounds\""]),
+            (
+                "{\"t_us\":1,\"ev\":\"estimate\",\"estimate_us\":1,\"rounds\":1,\"phase\":\"frozen\"}",
+                &["field \"phase\"", "\"frozen\"", "\"learning\", \"converged\""],
+            ),
+            ("{\"t_us\":1,\"ev\":\"re_estimate\",\"reason\":\"a\\\"b\"}", &["field \"reason\"", "\"a\\\"b\""]),
+            (
+                "{\"t_us\":1,\"ev\":\"guard_conservation\",\"invariant\":\"x\",\"expected\":1,\"actual\":2}",
+                &["field \"invariant\"", "\"active_transmissions\""],
+            ),
+            ("{\"t_us\":1,\"ev\":\"csi_classified\",\"deviation\":0.5,\"high\":1}", &["field \"high\""]),
+            ("{\"t_us\":1,\"ev\":\"dequeue\",\"kind\":\"timer\"}", &["dequeue", "summary trailer"]),
+            ("{\"summary\":true,\"events\":\"x\",\"dequeues\":{}}", &["summary", "\"events\""]),
+            ("{\"summary\":true,\"events\":1,\"dequeues\":{\"timer\":-1}}", &["field \"dequeues\"", "count \"timer\""]),
+            ("{\"summary\":false,\"events\":1,\"dequeues\":{}}", &["not true"]),
+            ("{\"summary\":true,\"events\":1}", &["missing field \"dequeues\""]),
+            ("{\"summary\":true,\"events\":1,\"dequeues\":{},\"x\":1}", &["unknown field \"x\""]),
+        ] {
+            let msg = record_error(line);
+            assert!(msg.contains("line 2"), "{line}: {msg}");
+            for needle in needles {
+                assert!(msg.contains(needle), "{line}: {msg} lacks {needle}");
+            }
+        }
+        let after_trailer = record_error(
+            "{\"summary\":true,\"events\":0,\"dequeues\":{}}\n\
+             {\"t_us\":1,\"ev\":\"fault_phantom_csi\"}",
+        );
+        assert!(after_trailer.starts_with("line 3:"), "{after_trailer}");
+        assert!(
+            after_trailer.contains("after the summary trailer"),
+            "{after_trailer}"
+        );
+    }
+
+    /// Writes `event` as one line and parses it back.
+    fn reparse(event: &TraceEvent) -> (String, Result<TraceEvent, String>) {
+        let mut line = String::new();
+        event.write_jsonl(&mut line);
+        let parsed = json::parse(&line).and_then(|doc| TraceEvent::from_json(&doc));
+        (line, parsed)
+    }
+
+    #[test]
+    fn float_edge_values_round_trip() {
+        for deviation in [0.0, -0.0, 1.0, 0.1, 5e-324, 1e300, -1e-7, f64::MAX] {
+            let event = TraceEvent::CsiClassified {
+                t_us: u64::MAX,
+                deviation,
+                high: true,
+            };
+            let (line, parsed) = reparse(&event);
+            let parsed = parsed.unwrap();
+            assert_eq!(reparse(&parsed).0, line);
+        }
+    }
+
+    proptest! {
+        /// One record of every kind with arbitrary integers, bools,
+        /// finite floats and labels: writing, reading and writing again
+        /// gives the same line. Dequeue lines are refused instead.
+        #[test]
+        fn every_kind_writes_reads_and_writes_the_same_line(
+            bits in proptest::collection::vec(any::<u64>(), 128),
+        ) {
+            let events = TraceEvent::arbitrary_each(&mut bits.into_iter());
+            let kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
+            prop_assert_eq!(kinds, TraceEvent::KINDS);
+            for event in &events {
+                let (line, parsed) = reparse(event);
+                if let TraceEvent::Dequeue { .. } = event {
+                    prop_assert!(parsed.unwrap_err().contains("summary trailer"));
+                    continue;
+                }
+                prop_assert!(parsed.is_ok(), "{}: {:?}", line, parsed);
+                prop_assert_eq!(reparse(&parsed.unwrap()).0, line);
+            }
+        }
+
+        /// Every label value of every record that carries one.
+        #[test]
+        fn every_label_value_round_trips(t_us in any::<u64>(), n in any::<u64>()) {
+            let mut events = Vec::new();
+            for &phase in AllocationPhase::ALL {
+                events.push(TraceEvent::Estimate { t_us, estimate_us: n, rounds: n as u32, phase });
+            }
+            for &reason in ReEstimateReason::ALL {
+                events.push(TraceEvent::ReEstimate { t_us, reason });
+            }
+            for &invariant in Invariant::ALL {
+                events.push(TraceEvent::GuardConservation { t_us, invariant, expected: n, actual: !n });
+            }
+            for event in &events {
+                prop_assert_eq!(reparse(event).1, Ok(*event));
+            }
+        }
     }
 }

@@ -155,6 +155,14 @@ impl ScenarioRegistry {
                 name: spec.scenario.clone(),
                 known: self.scenarios.iter().map(|s| s.name.to_string()).collect(),
             })?;
+        // `expand` adds each replicate's index to the seed.
+        let last_replicate = u64::from(spec.replicates.saturating_sub(1));
+        if spec.seed.checked_add(last_replicate).is_none() {
+            return Err(SweepError::Param(format!(
+                "\"seed\" {} + {last_replicate} replicates overflows a 64-bit seed",
+                spec.seed
+            )));
+        }
         let mut resolved = spec.clone();
         for (axis, values) in &mut resolved.axes {
             let param = scenario
@@ -586,6 +594,22 @@ mod tests {
             registry.resolve(&no_scenario),
             Err(SweepError::UnknownScenario { .. })
         ));
+    }
+
+    #[test]
+    fn resolve_rejects_replicate_seeds_that_overflow() {
+        let registry = ScenarioRegistry::builtin();
+        let err = registry.resolve(&SweepSpec::new("coexist", u64::MAX, 2));
+        assert!(
+            matches!(&err, Err(SweepError::Param(e)) if e.contains("\"seed\"")),
+            "{err:?}"
+        );
+        assert!(registry
+            .resolve(&SweepSpec::new("coexist", u64::MAX, 1))
+            .is_ok());
+        assert!(registry
+            .resolve(&SweepSpec::new("coexist", u64::MAX - 1, 2))
+            .is_ok());
     }
 
     /// The one `coexist` cell with the parameters `params`, a JSON

@@ -4,9 +4,10 @@
 # the JSONL and fails unless the burst and utilization sections are
 # non-empty (an empty section means the analyzer and the emitters
 # drifted apart), then sanity-checks diff-trace: a trace must diff
-# IDENTICAL (exit 0) against itself and DIFFER (exit 1) against a
-# tampered copy. A TraceEvent kind unknown to bicord_analyze fails the
-# summarize step with the kind's name.
+# IDENTICAL (exit 0) against itself and DIFFER (exit exactly 1, one
+# population changed) against a copy with one white space's NAV edited.
+# A record the reader cannot parse fails the summarize step (exit 2)
+# naming its line and field.
 #
 # Usage: scripts/analyze_smoke.sh
 set -euo pipefail
@@ -33,12 +34,15 @@ if ! cargo run -q --offline --release --bin bicord -- \
     exit 1
 fi
 
-echo "analyze_smoke: diff-trace detects a tampered copy..."
-sed 's/"seed":\([0-9]*\)/"seed":0/; 0,/"ev":"burst_complete"/s//"ev":"csma_fallback"/' \
-    "$trace" >"$tmpdir/tampered.jsonl"
-if cargo run -q --offline --release --bin bicord -- \
-    analyze diff-trace "$trace" "$tmpdir/tampered.jsonl" >/dev/null; then
-    echo "analyze_smoke: FAIL — tampered trace diffed IDENTICAL" >&2
+echo "analyze_smoke: diff-trace detects a payload edit..."
+# A well-formed edit: the first white space's NAV gains a leading digit.
+sed '0,/"nav_us":\([0-9]*\)/s//"nav_us":1\1/' "$trace" >"$tmpdir/tampered.jsonl"
+code=0
+cargo run -q --offline --release --bin bicord -- \
+    analyze diff-trace "$trace" "$tmpdir/tampered.jsonl" >"$tmpdir/diff.txt" || code=$?
+if [ "$code" -ne 1 ] || ! grep -q "^diff-trace: DIFFER — 1 population(s) changed" "$tmpdir/diff.txt"; then
+    echo "analyze_smoke: FAIL — a NAV edit must DIFFER in one population with exit 1 (got exit $code)" >&2
+    cat "$tmpdir/diff.txt" >&2
     exit 1
 fi
 

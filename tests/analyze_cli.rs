@@ -222,6 +222,59 @@ fn summarize_and_diff_trace_on_a_golden_trace() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
 
+/// A record the reader cannot map onto its `TraceEvent` variant field
+/// for field fails `summarize` with exit 2, naming the line and the
+/// field or kind, instead of summarizing as zeros.
+#[test]
+fn malformed_records_are_errors_naming_the_line_and_field() {
+    let dir = tmpdir("strict");
+    let header = r#"{"schema":"bicord-trace/1","seed":1,"mode":"bicord","duration_us":800000}"#;
+    for (record, needles) in [
+        (
+            r#"{"t_us":1000,"ev":"white_space"}"#,
+            &["white_space", "missing field \"nav_us\""][..],
+        ),
+        (
+            r#"{"t_us":1,"ev":"estimate","estimate_us":1,"rounds":"x","phase":"learning"}"#,
+            &["estimate", "field \"rounds\"", "found \"x\""],
+        ),
+        (
+            r#"{"t_us":1,"ev":"n_round","rounds":2,"note":"x"}"#,
+            &["n_round", "unknown field \"note\""],
+        ),
+        (
+            r#"{"t_us":1,"ev":"burst_complete","node":4294967296,"delivered":1,"failed":0}"#,
+            &["burst_complete", "field \"node\"", "4294967296"],
+        ),
+        (
+            r#"{"t_us":1,"ev":"estimate","estimate_us":1,"rounds":1,"phase":"frozen"}"#,
+            &["field \"phase\"", "\"frozen\""],
+        ),
+        (
+            r#"{"t_us":1,"ev":"re_estimate","reason":"boredom"}"#,
+            &["field \"reason\"", "\"boredom\""],
+        ),
+        (
+            r#"{"t_us":1,"ev":"guard_conservation","invariant":"x","expected":1,"actual":2}"#,
+            &["field \"invariant\"", "\"x\""],
+        ),
+        (
+            r#"{"t_us":1,"ev":"dequeue","kind":"timer"}"#,
+            &["dequeue", "summary trailer"],
+        ),
+    ] {
+        let trace = dir.join("bad.jsonl");
+        std::fs::write(&trace, format!("{header}\n{record}\n")).unwrap();
+        let out = bicord(&["summarize", trace.to_str().unwrap()], &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{record}: {stderr}");
+        assert!(stderr.contains("line 2"), "{record}: {stderr}");
+        for needle in needles {
+            assert!(stderr.contains(needle), "{record}: {stderr} lacks {needle}");
+        }
+    }
+}
+
 /// A truncated baseline must fail the gate as an unreadable file (exit
 /// 2, naming it), not pass on the entries that survived the cut.
 #[test]

@@ -4,6 +4,7 @@
 
 use std::process::{Command, Output};
 
+use bicord::sim::obs::TraceFile;
 use bicord::sweep::{ScenarioRegistry, SweepSpec};
 
 fn bicord(args: &[&str]) -> Output {
@@ -45,13 +46,10 @@ fn cli_and_one_cell_sweep_run_the_same_simulation_in_every_mode() {
         for line in want {
             assert!(text.contains(&line), "{mode}: no '{line}' in\n{text}");
         }
-        // The trace's summary line counts every dispatched event by kind.
-        let trace = std::fs::read_to_string(&trace).unwrap();
-        let dequeues = trace.lines().last().unwrap().split_once("\"dequeues\":{");
-        let events: f64 = (dequeues.unwrap().1.trim_end_matches('}').split(','))
-            .map(|kv| kv.split_once(':').unwrap().1.parse::<f64>().unwrap())
-            .sum();
-        assert_eq!(events, m("events"), "{mode}");
+        // The trace's summary trailer counts every dispatched event by kind.
+        let summary = TraceFile::read(&trace).unwrap().summary.unwrap();
+        let events: u64 = summary.dequeues.values().sum();
+        assert_eq!(events as f64, m("events"), "{mode}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

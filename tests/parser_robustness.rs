@@ -12,9 +12,8 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use bicord::analyze::bench::{parse_bench_file, parse_rules};
-use bicord::analyze::trace::TraceFile;
 use bicord::sim::json;
-use bicord::sim::obs::TraceHeader;
+use bicord::sim::obs::{TraceFile, TraceHeader};
 use bicord::sweep::artifact::{read_quarantine, read_shard, render_quarantine, render_shard};
 use bicord::sweep::{ParamValue, QuarantineRecord, ResultRow, Shard, SweepSpec};
 use proptest::prelude::*;

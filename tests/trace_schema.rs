@@ -1,6 +1,7 @@
 //! The JSONL trace contract (docs/OBSERVABILITY.md): schema-versioned
 //! header, deterministic body, summary trailer — byte-identical across
-//! seeds-equal runs, worker-thread counts, and sessions (golden files).
+//! seeds-equal runs, worker-thread counts, and sessions (golden files) —
+//! and read back by `TraceFile` into records that write the same bytes.
 //!
 //! Regenerate the golden files after an intentional simulation change
 //! with `BICORD_BLESS=1 cargo test --test trace_schema`.
@@ -8,7 +9,11 @@
 use std::path::PathBuf;
 
 use bicord::prelude::*;
+use bicord::sim::json;
+use bicord::sim::obs::TraceFile;
 use bicord::sim::par::parallel_map_threads;
+use bicord::sweep::registry::coexist_config;
+use bicord::sweep::{ScenarioRegistry, SweepSpec};
 
 const GOLDEN_SEEDS: [u64; 2] = [1, 2];
 
@@ -136,4 +141,86 @@ fn header_round_trips_and_rejects_unknown_schema() {
     let alien = header.to_json().replace(TRACE_SCHEMA, "bicord-trace/999");
     assert!(TraceHeader::parse(&alien).is_none());
     assert!(TraceHeader::parse("not json").is_none());
+}
+
+/// Writes `event` as a line, reads it back and writes it again.
+fn rewrite(event: &TraceEvent) -> (String, String) {
+    let mut line = String::new();
+    event.write_jsonl(&mut line);
+    let doc = json::parse(&line).expect("a written line is JSON");
+    let parsed = TraceEvent::from_json(&doc).unwrap_or_else(|e| panic!("{line}: {e}"));
+    let mut again = String::new();
+    parsed.write_jsonl(&mut again);
+    (line, again)
+}
+
+/// Every record line and the trailer of both golden traces read back as
+/// a `TraceEvent` / `TraceSummary` and write out as the same bytes.
+#[test]
+fn golden_lines_read_back_and_rewrite_byte_for_byte() {
+    for seed in GOLDEN_SEEDS {
+        let text = std::fs::read_to_string(golden_path(seed)).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let file = TraceFile::parse(&text).expect("a golden trace parses");
+        assert_eq!(file.records.len(), lines.len() - 2, "seed {seed}");
+        for (event, line) in file.records.iter().zip(&lines[1..]) {
+            let mut out = String::new();
+            event.write_jsonl(&mut out);
+            assert_eq!(out, *line, "seed {seed}");
+        }
+        let trailer = file.summary.expect("a golden trace has a trailer");
+        assert_eq!(trailer.to_json(), *lines.last().unwrap(), "seed {seed}");
+    }
+}
+
+/// Every record but the dequeues of a live `coexist` run with injected
+/// faults and a second ZigBee node reads back and writes out the same.
+#[test]
+fn live_records_with_faults_and_an_extra_node_read_back() {
+    let spec = SweepSpec::parse(
+        r#"{"scenario": "coexist", "seed": 7, "params": {"seconds": 3, "extra_nodes": "D:3:500",
+            "fault_profile": "control-loss=0.5,cts-loss=0.2,csi-fp=0.05,churn-ms=500,churn-m=2"}}"#,
+    );
+    let cell = (ScenarioRegistry::builtin().resolve(&spec.unwrap()))
+        .unwrap()
+        .expand()
+        .remove(0);
+    let mut sink = VecSink::new();
+    CoexistenceSim::with_sink(coexist_config(&cell).unwrap(), &mut sink)
+        .expect("valid config")
+        .run();
+    let mut kinds = Vec::new();
+    for event in &sink.events {
+        if let TraceEvent::Dequeue { .. } = event {
+            continue;
+        }
+        let (line, again) = rewrite(event);
+        assert_eq!(again, line);
+        if !kinds.contains(&event.kind()) {
+            kinds.push(event.kind());
+        }
+    }
+    kinds.sort_by_key(|kind| TraceEvent::KINDS.iter().position(|k| k == kind));
+    // The kinds this run emitted (no mobility, so no medium stats; no
+    // stall or overdue burst, so no guard records).
+    assert_eq!(
+        kinds,
+        [
+            "csi_classified",
+            "detection",
+            "channel_request",
+            "reservation",
+            "white_space",
+            "n_round",
+            "estimate",
+            "re_estimate",
+            "burst_complete",
+            "packet_delivered",
+            "fault_control_lost",
+            "fault_cts_lost",
+            "fault_phantom_csi",
+            "fault_churn",
+            "signaling_backoff",
+        ]
+    );
 }
