@@ -72,7 +72,15 @@ impl PrrModel {
         let x = (sinr_db - self.midpoint_db) / self.width_db;
         let p_ref = 1.0 / (1.0 + (-x).exp());
         let exponent = len_bytes as f64 / self.ref_len_bytes;
-        p_ref.powf(exponent).clamp(0.0, 1.0)
+        // Nearly every frame is reference length, and `pow(p, 1)` is `p`
+        // exactly (the true result is representable), so skip the call.
+        // A NaN still goes through `powf`, which may change its sign bit.
+        let p = if exponent == 1.0 && !p_ref.is_nan() {
+            p_ref
+        } else {
+            p_ref.powf(exponent)
+        };
+        p.clamp(0.0, 1.0)
     }
 
     /// Draws a reception outcome for one frame.
@@ -145,6 +153,42 @@ mod tests {
     #[should_panic(expected = "width")]
     fn zero_width_rejected() {
         let _ = PrrModel::new(0.0, 0.0, 50.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+        /// `prr` equals the unshortened formula bit for bit, on the
+        /// reference-length fast path and off it.
+        #[test]
+        fn prr_is_the_formula_bit_for_bit(
+            pick in 0u8..8,
+            finite in -200.0f64..200.0,
+            bits in any::<u64>(),
+            len in 1usize..300,
+            wifi in any::<bool>(),
+        ) {
+            // Mostly the SINRs a run meets; also the infinities, NaN and
+            // any bit pattern at all.
+            let sinr = match pick {
+                0 => f64::INFINITY,
+                1 => f64::NEG_INFINITY,
+                2 => f64::NAN,
+                3 => f64::from_bits(bits),
+                _ => finite,
+            };
+            let m = if wifi { PrrModel::wifi() } else { PrrModel::zigbee() };
+            let formula = |len_bytes: usize| {
+                let x = (sinr - m.midpoint_db) / m.width_db;
+                let p_ref = 1.0 / (1.0 + (-x).exp());
+                // Opaque to the optimizer, so `powf` really runs.
+                let exponent = std::hint::black_box(len_bytes as f64 / m.ref_len_bytes);
+                p_ref.powf(exponent).clamp(0.0, 1.0)
+            };
+            let ref_len = m.ref_len_bytes as usize;
+            prop_assert_eq!(m.prr(sinr, ref_len).to_bits(), formula(ref_len).to_bits());
+            prop_assert_eq!(m.prr(sinr, len).to_bits(), formula(len).to_bits());
+        }
     }
 
     proptest! {

@@ -93,6 +93,22 @@ fn zb_node_of(device: DeviceId) -> Option<(usize, bool)> {
     Some((((raw - 2) / 2) as usize, raw.is_multiple_of(2)))
 }
 
+/// Moves `finger` to `slice.partition_point(pred)` by stepping from where
+/// it was, either way, and returns it. `pred` must partition `slice` as
+/// for `partition_point`. Queries that move little between calls cost a
+/// few steps instead of a binary search over the whole slice.
+fn walk_to_partition_point<T>(slice: &[T], finger: &mut usize, pred: impl Fn(&T) -> bool) -> usize {
+    let mut i = *finger;
+    while i > 0 && !pred(&slice[i - 1]) {
+        i -= 1;
+    }
+    while i < slice.len() && pred(&slice[i]) {
+        i += 1;
+    }
+    *finger = i;
+    i
+}
+
 /// Index of the primary Wi-Fi station (E) in [`CoexistenceSim`]'s
 /// station list; the contending [`EXTRA_WIFI_TX`], when configured,
 /// follows it.
@@ -332,6 +348,9 @@ pub struct CoexistenceSim<S: EventSink = NoopSink, G: SimGuard = NoopGuard> {
     /// The armed handle of each timer, indexed by [`TimerKey::slot`].
     timers: Vec<Option<EventHandle>>,
     noise: Vec<NoiseBurst>,
+    /// Where the last noise query's scan began in `noise`: the next
+    /// query walks from here (see [`walk_to_partition_point`]).
+    noise_finger: usize,
     max_noise_duration: SimDuration,
     csi_model: CsiModel,
     csi_rng: StdRng,
@@ -640,6 +659,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 .band(),
             timers,
             noise,
+            noise_finger: 0,
             max_noise_duration,
             csi_model,
             csi_rng: stream_rng(seed, SeedDomain::Csi, 0),
@@ -1255,13 +1275,13 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
     // Noise helpers
     // ------------------------------------------------------------------
 
-    fn noise_power_during(&self, from: SimTime, to: SimTime) -> MilliWatt {
+    fn noise_power_during(&mut self, from: SimTime, to: SimTime) -> MilliWatt {
         self.noise_bursts_overlapping(from, to)
             .map(|b| b.power.to_milliwatt())
             .sum()
     }
 
-    fn strongest_noise_during(&self, from: SimTime, to: SimTime) -> Option<Dbm> {
+    fn strongest_noise_during(&mut self, from: SimTime, to: SimTime) -> Option<Dbm> {
         self.noise_bursts_overlapping(from, to)
             .map(|b| b.power)
             .fold(None, |acc, p| match acc {
@@ -1271,7 +1291,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
     }
 
     fn noise_bursts_overlapping(
-        &self,
+        &mut self,
         from: SimTime,
         to: SimTime,
     ) -> impl Iterator<Item = &NoiseBurst> {
@@ -1279,7 +1299,8 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         // start in [from - max_duration, to) can overlap.
         let lo = from.saturating_since(SimTime::ZERO + self.max_noise_duration);
         let lo_time = SimTime::ZERO + lo;
-        let begin = self.noise.partition_point(|b| b.start < lo_time);
+        let begin =
+            walk_to_partition_point(&self.noise, &mut self.noise_finger, |b| b.start < lo_time);
         self.noise[begin..]
             .iter()
             .take_while(move |b| b.start < to)
@@ -2072,10 +2093,34 @@ mod tests {
     use super::*;
     use crate::config::ExtraNodeConfig;
     use crate::geometry::Location;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn short(mut config: SimConfig) -> RunResults {
         config.duration = SimDuration::from_secs(3);
         CoexistenceSim::new(config).unwrap().run()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+        /// The finger lands where `partition_point` would, on random
+        /// sorted lists (with repeats) and query sequences that jump
+        /// forward and back.
+        #[test]
+        fn walked_finger_is_the_partition_point(
+            list in collection::vec(0u32..200, 0..40),
+            queries in collection::vec(0u32..220, 1..40),
+        ) {
+            let mut list = list;
+            list.sort_unstable();
+            let mut finger = 0;
+            for lo in queries {
+                let walked = walk_to_partition_point(&list, &mut finger, |&x| x < lo);
+                prop_assert_eq!(walked, list.partition_point(|&x| x < lo));
+                prop_assert_eq!(finger, walked);
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::json::{self, Json};
 
@@ -123,6 +123,19 @@ impl TraceField for BTreeMap<String, u64> {
                 Ok((kind.clone(), n))
             })
             .collect()
+    }
+}
+
+/// The header's schema and mode labels.
+impl TraceField for String {
+    fn write(&self, out: &mut String) {
+        out.push_str(&json::escape(self));
+    }
+
+    fn read(value: &Json) -> Result<Self, String> {
+        (value.as_str())
+            .map(str::to_string)
+            .ok_or_else(|| format!("expected a string, found {value}"))
     }
 }
 
@@ -767,21 +780,28 @@ impl TraceHeader {
         )
     }
 
-    /// Parses a header line produced by [`TraceHeader::to_json`].
+    /// Parses a header line produced by [`TraceHeader::to_json`]; every
+    /// field is required and no other is allowed.
     ///
-    /// Returns `None` for malformed lines or unknown schemas — callers
-    /// must treat that as "do not interpret the rest of the file".
-    pub fn parse(line: &str) -> Option<Self> {
-        let doc = json::parse(line).ok()?;
-        let schema = doc.get("schema")?.as_str()?;
+    /// An error (naming the field) for malformed lines or unknown
+    /// schemas — callers must treat that as "do not interpret the rest
+    /// of the file".
+    pub fn parse(line: &str) -> Result<Self, String> {
+        let doc = json::parse(line)?;
+        let fields = Fields::check("header", &doc, &["schema", "seed", "mode", "duration_us"])?;
+        let schema: String = fields.get("schema")?;
         if schema != TRACE_SCHEMA {
-            return None;
+            return Err(format!(
+                "header: schema {} is not {}",
+                json::escape(&schema),
+                json::escape(TRACE_SCHEMA)
+            ));
         }
-        Some(TraceHeader {
-            schema: schema.to_string(),
-            seed: doc.get("seed")?.as_u64()?,
-            mode: doc.get("mode")?.as_str()?.to_string(),
-            duration_us: doc.get("duration_us")?.as_u64()?,
+        Ok(TraceHeader {
+            schema,
+            seed: fields.get("seed")?,
+            mode: fields.get("mode")?,
+            duration_us: fields.get("duration_us")?,
         })
     }
 }
@@ -799,7 +819,6 @@ impl TraceHeader {
 /// or environment.
 #[derive(Debug)]
 pub struct JsonlSink {
-    path: PathBuf,
     out: io::BufWriter<std::fs::File>,
     line: String,
     events_written: u64,
@@ -810,29 +829,17 @@ pub struct JsonlSink {
 impl JsonlSink {
     /// Creates `path` (truncating) and writes the header line.
     pub fn create(path: impl AsRef<Path>, header: &TraceHeader) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = std::fs::File::create(&path)?;
+        let file = std::fs::File::create(path)?;
         let mut out = io::BufWriter::new(file);
         out.write_all(header.to_json().as_bytes())?;
         out.write_all(b"\n")?;
         Ok(JsonlSink {
-            path,
             out,
             line: String::with_capacity(128),
             events_written: 0,
             dequeue_counts: BTreeMap::new(),
             error: None,
         })
-    }
-
-    /// The file being written.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Records written so far (excluding header and summary).
-    pub fn events_written(&self) -> u64 {
-        self.events_written
     }
 
     /// Writes the summary trailer and flushes. Returns the total record
@@ -925,8 +932,8 @@ pub struct TraceFile {
 pub enum TraceError {
     /// The file could not be read.
     Io(io::Error),
-    /// Line 1 is not a `bicord-trace/1` header.
-    BadHeader,
+    /// Line 1 is not a `bicord-trace/1` header, for the given reason.
+    BadHeader(String),
     /// A record or trailer line does not read back as one.
     BadRecord {
         /// 1-based line number.
@@ -940,10 +947,10 @@ impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Io(e) => write!(f, "cannot read trace: {e}"),
-            TraceError::BadHeader => write!(
+            TraceError::BadHeader(reason) => write!(
                 f,
-                "line 1 is not a {TRACE_SCHEMA} header (is this a JSONL trace written by \
-                 `bicord --trace` / a bench `--trace`?)"
+                "line 1 is not a {TRACE_SCHEMA} header: {reason} (is this a JSONL trace \
+                 written by `bicord --trace` / a bench `--trace`?)"
             ),
             TraceError::BadRecord { line, reason } => {
                 write!(f, "line {line}: malformed trace record: {reason}")
@@ -971,9 +978,8 @@ impl TraceFile {
     /// is an error.
     pub fn parse(text: &str) -> Result<Self, TraceError> {
         let mut lines = text.lines().enumerate();
-        let header = (lines.next())
-            .and_then(|(_, line)| TraceHeader::parse(line))
-            .ok_or(TraceError::BadHeader)?;
+        let (_, first) = lines.next().unwrap_or((0, ""));
+        let header = TraceHeader::parse(first).map_err(TraceError::BadHeader)?;
         let mut records = Vec::new();
         let mut summary = None;
         for (idx, line) in lines {
@@ -1179,18 +1185,43 @@ mod tests {
             "{\"schema\":\"bicord-trace/1\",\"seed\":18446744073709551615,\
              \"mode\":\"a\\\"quoted\\\\mode\",\"duration_us\":1}"
         );
-        assert_eq!(TraceHeader::parse(&line), Some(h.clone()));
+        assert_eq!(TraceHeader::parse(&line), Ok(h.clone()));
         let file = TraceFile::parse(&format!("{line}\n")).unwrap();
         assert_eq!(file.header, h);
     }
 
     #[test]
-    fn header_rejects_unknown_schema() {
-        let line = "{\"schema\":\"bicord-trace/999\",\"seed\":1,\"mode\":\"x\",\"duration_us\":5}";
-        assert!(TraceHeader::parse(line).is_none());
-        assert!(TraceHeader::parse("not json").is_none());
-        for text in ["not json\n", line] {
-            assert!(matches!(TraceFile::parse(text), Err(TraceError::BadHeader)));
+    fn malformed_headers_are_errors_naming_the_field() {
+        for (line, needle) in [
+            (
+                "{\"schema\":\"bicord-trace/999\",\"seed\":1,\"mode\":\"x\",\"duration_us\":5}",
+                "schema \"bicord-trace/999\"",
+            ),
+            ("not json", "json parse error"),
+            ("", "json parse error"),
+            (
+                "{\"schema\":\"bicord-trace/1\",\"seed\":1,\"mode\":\"x\",\"duration_us\":5,\"bogus\":1}",
+                "header: unknown field \"bogus\"",
+            ),
+            (
+                "{\"schema\":\"bicord-trace/1\",\"seed\":1,\"mode\":\"x\"}",
+                "header: missing field \"duration_us\"",
+            ),
+            (
+                "{\"schema\":\"bicord-trace/1\",\"seed\":\"1\",\"mode\":\"x\",\"duration_us\":5}",
+                "header: field \"seed\"",
+            ),
+            (
+                "{\"schema\":\"bicord-trace/1\",\"seed\":1,\"mode\":7,\"duration_us\":5}",
+                "header: field \"mode\": expected a string",
+            ),
+        ] {
+            let reason = TraceHeader::parse(line).unwrap_err();
+            assert!(reason.contains(needle), "{line}: {reason}");
+            match TraceFile::parse(&format!("{line}\n")) {
+                Err(TraceError::BadHeader(why)) => assert_eq!(why, reason),
+                other => panic!("{line}: {other:?}"),
+            }
         }
     }
 

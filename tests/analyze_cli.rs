@@ -275,6 +275,36 @@ fn malformed_records_are_errors_naming_the_line_and_field() {
     }
 }
 
+/// A header with an unknown, missing or mistyped key fails `summarize`
+/// with exit 2, naming the key, instead of summarizing the records.
+#[test]
+fn malformed_headers_are_errors_naming_the_key() {
+    let dir = tmpdir("strict-header");
+    let record = r#"{"t_us":1,"ev":"reservation","ws_us":30000}"#;
+    for (header, needle) in [
+        (
+            r#"{"schema":"bicord-trace/1","seed":1,"mode":"x","duration_us":5,"bogus":1}"#,
+            "unknown field \"bogus\"",
+        ),
+        (
+            r#"{"schema":"bicord-trace/1","mode":"x","duration_us":5}"#,
+            "missing field \"seed\"",
+        ),
+        (
+            r#"{"schema":"bicord-trace/1","seed":1,"mode":"x","duration_us":-5}"#,
+            "field \"duration_us\"",
+        ),
+    ] {
+        let trace = dir.join("bad-header.jsonl");
+        std::fs::write(&trace, format!("{header}\n{record}\n")).unwrap();
+        let out = bicord(&["summarize", trace.to_str().unwrap()], &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{header}: {stderr}");
+        assert!(stderr.contains("line 1"), "{header}: {stderr}");
+        assert!(stderr.contains(needle), "{header}: {stderr} lacks {needle}");
+    }
+}
+
 /// A truncated baseline must fail the gate as an unreadable file (exit
 /// 2, naming it), not pass on the entries that survived the cut.
 #[test]

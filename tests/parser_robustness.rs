@@ -178,6 +178,16 @@ fn seed_documents_parse_cleanly() {
 }
 
 #[test]
+fn trace_header_with_an_unknown_key_is_an_error() {
+    let header = r#"{"schema":"bicord-trace/1","seed":1,"mode":"x","duration_us":5,"bogus":1}"#;
+    assert!(TraceHeader::parse(header)
+        .unwrap_err()
+        .contains("\"bogus\""));
+    let err = TraceFile::parse(&format!("{header}\n")).unwrap_err();
+    assert!(err.to_string().contains("\"bogus\""), "{err}");
+}
+
+#[test]
 fn spec_whose_replicate_seeds_overflow_is_an_error() {
     // The second replicate's seed would be 2^64 (0 in release, a panic in debug).
     let spec = r#"{"scenario": "coexist", "seed": 18446744073709551615, "replicates": 2}"#;

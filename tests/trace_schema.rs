@@ -139,8 +139,8 @@ fn header_round_trips_and_rejects_unknown_schema() {
     assert_eq!(parsed.duration_us, 1_234_567);
 
     let alien = header.to_json().replace(TRACE_SCHEMA, "bicord-trace/999");
-    assert!(TraceHeader::parse(&alien).is_none());
-    assert!(TraceHeader::parse("not json").is_none());
+    assert!(TraceHeader::parse(&alien).is_err());
+    assert!(TraceHeader::parse("not json").is_err());
 }
 
 /// Writes `event` as a line, reads it back and writes it again.
